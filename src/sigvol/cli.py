@@ -5,6 +5,8 @@ machine-readable JSON output (default) or human-readable text.  Output is
 byte-stable across runs; progress of long computations goes to stderr only.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors.
+A usage error (bad arguments, unparseable or out-of-range input) prints one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -47,27 +49,59 @@ from .posgeom import (
     stabilizer_bruteforce,
     stabilizer_structural,
 )
-from .sigpoly import PLPath, pair, pl_signature, polynomial_to_text, signature_polynomial
+from .sigpoly import (
+    MAX_DEGREE,
+    PLPath,
+    pair,
+    pl_signature,
+    polynomial_to_text,
+    signature_polynomial,
+)
+
+
+class UsageError(Exception):
+    """Bad command-line input; `run` reports it on one line and returns 2."""
+
+
+def _checked(fn, *args):
+    """fn(*args), with the ValueError it raises for bad input as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+# lower bounds of the integer options, checked before any computation
+_MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1}
+
+
+def _check_ranges(args) -> None:
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
 def _parse_path(text: str) -> PLPath:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            points.append([qq(c) for c in chunk.split(",")])
-    return PLPath(points)
+    chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+    return _checked(lambda: PLPath([[qq(c) for c in chunk.split(",")] for chunk in chunks]))
 
 
 def _load_fixture(spec: str, d: int | None):
     """Fixture elements from a filesystem path or a bundled file name."""
     if os.path.exists(spec):
         with open(spec) as handle:
-            return parse_fixture_elements(handle.read(), d)
+            return _checked(parse_fixture_elements, handle.read(), d)
     try:
-        return parse_fixture_elements(fixtures.fixture_text(spec), d)
+        text = fixtures.fixture_text(spec)
     except FileNotFoundError:
-        raise SystemExit(f"fixture not found: {spec}")
+        raise UsageError(f"fixture not found: {spec}") from None
+    return _checked(parse_fixture_elements, text, d)
+
+
+def _check_polynomial_degree(x) -> None:
+    if x.degree() > MAX_DEGREE:
+        raise UsageError(f"degree {x.degree()} is above the largest polynomial degree {MAX_DEGREE}")
 
 
 def _signature_json(sig) -> dict:
@@ -79,7 +113,7 @@ def _signature_json(sig) -> dict:
 
 def _group_for(name: str, d: int, n: int) -> PermGroup:
     if name == "auto":
-        return stabilizer_structural(d, n)
+        return _checked(stabilizer_structural, d, n)
     if name == "trivial":
         return PermGroup.generated(n, [], "trivial")
     if name == "cyclic":
@@ -97,7 +131,7 @@ def _group_for(name: str, d: int, n: int) -> PermGroup:
         if n > 2:
             gens.append(Permutation(list(range(2, n + 1)) + [1]))
         return PermGroup.generated(n, gens, "S_n")
-    raise SystemExit(f"unknown group {name!r}")
+    raise UsageError(f"unknown group {name!r}")
 
 
 def _emit(data, fmt: str, text_render=None) -> None:
@@ -227,33 +261,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    set_max_threads(args.threads)
+    args = build_parser().parse_args(argv)
+    try:
+        _check_ranges(args)
+        _checked(set_max_threads, args.threads)
+        return _dispatch(args)
+    except UsageError as exc:
+        print(f"sigvol: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     fmt = args.format
 
     if args.command in ("shuffle", "concat"):
-        x = parse_element(args.x, args.d)
-        y = parse_element(args.y, args.d)
+        x = _checked(parse_element, args.x, args.d)
+        y = _checked(parse_element, args.y, args.d)
         d = max(x.d, y.d)
-        x, y = parse_element(args.x, d), parse_element(args.y, d)
+        x, y = _checked(parse_element, args.x, d), _checked(parse_element, args.y, d)
         result = shuffle(x, y) if args.command == "shuffle" else concat(x, y)
         _emit({"element": element_to_text(result)}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "antipode":
-        x = parse_element(args.x, args.d)
+        x = _checked(parse_element, args.x, args.d)
         _emit({"element": element_to_text(antipode(x))}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "vol":
-        letters = tuple(int(ch) for ch in args.letters) if args.letters else None
-        x = volume_element(args.d, letters)
+        letters = _checked(lambda: tuple(int(ch) for ch in args.letters)) if args.letters else None
+        x = _checked(volume_element, args.d, letters)
         _emit({"element": element_to_text(x)}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "lyndon":
-        words = ["".join(map(str, w)) for w in lyndon_words(args.d, args.k)]
+        words = ["".join(map(str, w)) for w in _checked(lyndon_words, args.d, args.k)]
         _emit({"d": args.d, "k": args.k, "count": len(words), "words": words}, fmt,
               lambda data: " ".join(data["words"]))
         return 0
@@ -267,13 +309,18 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "pair":
         path = _parse_path(args.path)
         if args.element:
-            elements = {"element": parse_element(args.element, args.d or path.d)}
+            elements = {"element": _checked(parse_element, args.element, args.d or path.d)}
         elif args.fixture:
             elements = _load_fixture(args.fixture, args.d)
             if args.name:
+                if args.name not in elements:
+                    raise UsageError(f"no element {args.name!r} in {args.fixture}")
                 elements = {args.name: elements[args.name]}
         else:
-            raise SystemExit("pair needs --element or --fixture")
+            raise UsageError("pair needs --element or --fixture")
+        for name, x in elements.items():
+            if x.d != path.d:
+                raise UsageError(f"element {name} has {x.d} letters but the path lives in dimension {path.d}")
         maxdeg = max(x.degree() for x in elements.values())
         sig = pl_signature(path, max(maxdeg, 1))
         values = {name: str(pair(sig, x)) for name, x in elements.items()}
@@ -282,7 +329,8 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "hmap":
-        x = parse_element(args.element, args.d)
+        x = _checked(parse_element, args.element, args.d)
+        _check_polynomial_degree(x)
         poly = signature_polynomial(x, args.n)
         if args.coords == "points":
             from .sigpoly import polynomial_to_x_text
@@ -296,22 +344,22 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.command == "stabilizer":
         if args.method == "brute":
-            group = stabilizer_bruteforce(args.d, args.n)
+            group = _checked(stabilizer_bruteforce, args.d, args.n)
         else:
-            group = stabilizer_structural(args.d, args.n)
+            group = _checked(stabilizer_structural, args.d, args.n)
         _emit(group.to_json(), fmt,
               lambda data: f"{data['structure_tag']} of order {data['order']}")
         return 0
 
     if args.command == "gale":
-        facets = [list(f) for f in gale_facets(args.d, args.n)]
+        facets = [list(f) for f in _checked(gale_facets, args.d, args.n)]
         _emit({"d": args.d, "n": args.n, "facets": facets}, fmt,
               lambda data: "\n".join("".join(map(str, f)) for f in data["facets"]))
         return 0
 
     if args.command == "volume":
-        params = [qq(t) for t in args.moment_curve.split(",")]
-        inst = moment_curve_instance(args.d, len(params), params)
+        params = _checked(lambda: [qq(t) for t in args.moment_curve.split(",")])
+        inst = _checked(moment_curve_instance, args.d, len(params), params)
         sv, tv = signed_volume(inst.path), polytope_volume(inst)
         _emit({"signed_volume": str(sv), "triangulation_volume": str(tv)}, fmt,
               lambda data: f"{data['signed_volume']}\n{data['triangulation_volume']}")
@@ -342,6 +390,8 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "check-element":
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
         elements = _load_fixture(args.fixture, args.d)
+        for x in elements.values():
+            _check_polynomial_degree(x)
         report = {}
         ok = True
         for name, x in elements.items():
@@ -349,18 +399,20 @@ def run(argv: list[str] | None = None) -> int:
             for check in checks:
                 if check == "invariant":
                     if args.n is None:
-                        raise SystemExit("check 'invariant' needs --n")
+                        raise UsageError("check 'invariant' needs --n")
+                    if args.n < x.d + 1:
+                        raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
                     entry[check] = is_invariant(x, x.d, args.n)
                 elif check == "kernel":
                     if args.n is None:
-                        raise SystemExit("check 'kernel' needs --n")
+                        raise UsageError("check 'kernel' needs --n")
                     entry[check] = signature_polynomial(x, args.n).is_zero()
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
                 elif check == "loopclosure":
                     entry[check] = loopclosure_membership(x, segments=args.segments)
                 else:
-                    raise SystemExit(f"unknown check {check!r}")
+                    raise UsageError(f"unknown check {check!r}")
                 ok = ok and entry[check]
             report[name] = entry
         _emit({"checks": report, "pass": ok}, fmt,
@@ -374,6 +426,10 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "reproduce-paper":
+        known = {num for num, _, _ in verify.CRITERIA}
+        unknown = sorted(set(args.only or ()) - known)
+        if unknown:
+            raise UsageError(f"no criterion {', '.join(map(str, unknown))} (criteria are 1..{max(known)})")
         results = verify.run_all(only=args.only, progress=lambda msg: print(msg, file=sys.stderr))
         if fmt == "json":
             print(json.dumps(results))

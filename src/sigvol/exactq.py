@@ -45,7 +45,11 @@ def qq(value, den=None) -> QQ:
 
 
 class SparseMatrixQ:
-    """Sparse matrix over QQ; no zero entries are ever stored."""
+    """Sparse matrix over QQ; no zero entries are ever stored.
+
+    Integer entries stay Python ints (the solvers build integer matrices);
+    every other entry is coerced to QQ.
+    """
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -57,7 +61,8 @@ class SparseMatrixQ:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ValueError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
-                v = QQ(v)
+                if type(v) is not int:
+                    v = QQ(v)
                 if v != 0:
                     self.entries[(r, c)] = v
 
@@ -110,7 +115,7 @@ class MatrixBuilder:
         col = self._cols[col_index]
         for key, v in entries.items():
             if v != 0:
-                col[key] = col.get(key, Q0) + v
+                col[key] = col.get(key, 0) + v
                 if col[key] == 0:
                     del col[key]
                 self._row_keys.setdefault(key, None)

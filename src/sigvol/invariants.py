@@ -28,15 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
 from .exactq import MatrixBuilder, Q0, Q1, QQ, SubspaceQ, intersect, nullspace
 from .freealg import TensorElement, Word, shuffle_power, volume_element
 from .parallel import pmap
 from .posgeom import PermGroup, stabilizer_structural
 from .sigpoly import (
-    IncrementPolynomial,
     SigPolyCalculator,
     closure_substitution,
+    integral_coefficients,
+    packed_difference,
     permutation_substitution,
 )
 
@@ -102,11 +104,51 @@ class GradedBasis:
 # ---------------------------------------------------------------------------
 
 
+def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]], list[dict]]:
+    """Per generator: permuted minus original packed polynomial of a word combination."""
+    calc = SigPolyCalculator(d, n)
+    substitutions = [permutation_substitution(d, n, g.images) for g in generators]
+
+    def conditions(coeffs: dict[Word, int]) -> list[dict]:
+        base = calc.combination(coeffs)
+        return [packed_difference(sub.apply_packed(base), base) for sub in substitutions]
+
+    return conditions
+
+
+def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict]]:
+    """Per side: closed minus open packed polynomial of a word combination on m segments."""
+    calc_small = SigPolyCalculator(d, m + 1)
+    calc_big = SigPolyCalculator(d, m + 2)
+    substitutions = [closure_substitution(d, m, "right"), closure_substitution(d, m, "left")]
+
+    def conditions(coeffs: dict[Word, int]) -> list[dict]:
+        small = calc_small.combination(coeffs)
+        big = calc_big.combination(coeffs)
+        return [packed_difference(sub.apply_packed(big), small) for sub in substitutions]
+
+    return conditions
+
+
+def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
+    """The combinations of the rows whose condition polynomials all vanish.
+
+    Each row is one word combination with integer coefficients, and all rows
+    must share one scale (as words of one degree, or elements brought to one
+    common denominator): scaling columns apart would change the kernel.
+    """
+    builder = MatrixBuilder(len(rows))
+    for c, diffs in enumerate(pmap(conditions, rows)):
+        builder.add_column(c, {(i, mono): v for i, diff in enumerate(diffs) for mono, v in diff.items()})
+    return nullspace(builder.build())
+
+
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     """Degree-k elements that every n-point path signature annihilates."""
     words = words_of_degree(d, k)
     calc = SigPolyCalculator(d, n)
     builder = MatrixBuilder(len(words))
+    # every column carries the same factor k!, which leaves the kernel alone
     columns = pmap(lambda w: calc._poly(1, w), words)
     for c, poly in enumerate(columns):
         builder.add_column(c, poly)
@@ -126,23 +168,8 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
     generators = [g for g in group.generators if not g.is_identity()]
     if not generators:
         space = SubspaceQ.full(len(words))
-        return GradedBasis.from_space(d, k, space, n=n, group_tag=group.structure_tag)
-    calc = SigPolyCalculator(d, n)
-    substitutions = [permutation_substitution(d, n, g.images) for g in generators]
-    builder = MatrixBuilder(len(words))
-
-    def column(w: Word) -> dict:
-        base = IncrementPolynomial(d, n, calc._poly(1, w))
-        entries: dict = {}
-        for gi, sub in enumerate(substitutions):
-            diff = sub.apply(base) - base
-            for mono, coeff in diff.terms.items():
-                entries[(gi, mono)] = coeff
-        return entries
-
-    for c, entries in enumerate(pmap(column, words)):
-        builder.add_column(c, entries)
-    space = nullspace(builder.build())
+    else:
+        space = _solve([{w: 1} for w in words], _group_conditions(d, n, generators))
     return GradedBasis.from_space(d, k, space, n=n, group_tag=group.structure_tag)
 
 
@@ -160,25 +187,6 @@ def timerev_space(d: int, k: int) -> GradedBasis:
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
 
-def _closure_diffs(
-    x_or_word, d: int, m: int, calc_small: SigPolyCalculator, calc_big: SigPolyCalculator, subs
-) -> list[IncrementPolynomial]:
-    if isinstance(x_or_word, TensorElement):
-        small = calc_small.element_poly(x_or_word)
-        big = calc_big.element_poly(x_or_word)
-    else:
-        small = calc_small.word_poly(x_or_word)
-        big = calc_big.word_poly(x_or_word)
-    return [sub.apply(big) - small for sub in subs]
-
-
-def _closure_context(d: int, m: int):
-    calc_small = SigPolyCalculator(d, m + 1)
-    calc_big = SigPolyCalculator(d, m + 2)
-    subs = [closure_substitution(d, m, "right"), closure_substitution(d, m, "left")]
-    return calc_small, calc_big, subs
-
-
 def loopclosure_membership(x: TensorElement, segments: int | None = None) -> bool:
     """Whether closing an m-segment path to a loop (either side) is invisible.
 
@@ -189,11 +197,19 @@ def loopclosure_membership(x: TensorElement, segments: int | None = None) -> boo
         if k == 0:
             continue
         m = segments if segments is not None else k
-        calc_small, calc_big, subs = _closure_context(x.d, m)
-        diffs = _closure_diffs(part, x.d, m, calc_small, calc_big, subs)
-        if any(not diff.is_zero() for diff in diffs):
+        (coeffs,), _ = integral_coefficients([part])
+        if any(_closure_conditions(x.d, m)(coeffs)):
             return False
     return True
+
+
+def loopclosure_combinations(elements: list[TensorElement], segments: int) -> SubspaceQ:
+    """Combinations of degree-`segments` elements that survive loop closure on both sides.
+
+    The coordinates of the returned subspace are coefficients on `elements`.
+    """
+    rows, _ = integral_coefficients(elements)
+    return _solve(rows, _closure_conditions(elements[0].d, segments))
 
 
 def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasis:
@@ -202,19 +218,7 @@ def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasi
     if k == 0:
         return GradedBasis.from_space(d, k, SubspaceQ.full(1), group_tag="loopclosure")
     m = segments if segments is not None else k
-    calc_small, calc_big, subs = _closure_context(d, m)
-    builder = MatrixBuilder(len(words))
-
-    def column(w: Word) -> dict:
-        entries: dict = {}
-        for side, diff in enumerate(_closure_diffs(w, d, m, calc_small, calc_big, subs)):
-            for mono, coeff in diff.terms.items():
-                entries[(side, mono)] = coeff
-        return entries
-
-    for c, entries in enumerate(pmap(column, words)):
-        builder.add_column(c, entries)
-    space = nullspace(builder.build())
+    space = _solve([{w: 1} for w in words], _closure_conditions(d, m))
     return GradedBasis.from_space(d, k, space, group_tag="loopclosure")
 
 
@@ -233,22 +237,8 @@ def _refine_by_group(basis: GradedBasis, n: int, group: PermGroup) -> GradedBasi
     if not generators or basis.dim == 0:
         return basis
     d, k = basis.d, basis.k
-    calc = SigPolyCalculator(d, n)
-    substitutions = [permutation_substitution(d, n, g.images) for g in generators]
-    builder = MatrixBuilder(basis.dim)
-
-    def column(element: TensorElement) -> dict:
-        base = calc.element_poly(element)
-        entries: dict = {}
-        for gi, sub in enumerate(substitutions):
-            diff = sub.apply(base) - base
-            for mono, coeff in diff.terms.items():
-                entries[(gi, mono)] = coeff
-        return entries
-
-    for c, entries in enumerate(pmap(column, basis.elements)):
-        builder.add_column(c, entries)
-    solutions = nullspace(builder.build())
+    rows, _ = integral_coefficients(basis.elements)
+    solutions = _solve(rows, _group_conditions(d, n, generators))
     vectors: list[dict[int, QQ]] = []
     old_rows = basis.space.basis
     for sol in solutions.basis:
@@ -301,15 +291,13 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
 
 def is_invariant(x: TensorElement, d: int, n: int) -> bool:
     """Whether the signature polynomial of x on n points is stabilizer-fixed."""
-    group = stabilizer_structural(d, n)
-    calc = SigPolyCalculator(d, n)
-    base = calc.element_poly(x)
-    for g in group.generators:
-        if g.is_identity():
-            continue
-        if permutation_substitution(d, n, g.images).apply(base) != base:
-            return False
-    return True
+    if x.d != d:
+        raise ValueError("alphabet mismatch")
+    generators = [g for g in stabilizer_structural(d, n).generators if not g.is_identity()]
+    # each graded part comes out scaled by its own positive factor; substitutions
+    # keep degrees, so invariance of the scaled parts is invariance of x
+    (coeffs,), _ = integral_coefficients([x])
+    return not any(_group_conditions(d, n, generators)(coeffs))
 
 
 def dim_image(basis: GradedBasis, n: int) -> int:

@@ -16,6 +16,21 @@ Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
 polynomial after permuting control points, merging a collinear point, or
 closing the path into a loop.
+
+The computational kernel works on integers.  Scaled by L!, the polynomial of
+a length-L word has integer (multinomial) coefficients, and the Chen step
+over one segment becomes ``C(L, j) * seg * tail``.  A monomial is packed into
+one int with a FIELD_BITS-wide field per variable, so a monomial product is a
+single integer addition.  Fields never carry into each other because every
+monomial's total degree is checked against MAX_DEGREE where it enters the
+kernel: the word length in the Chen recursion and `_pack` for outside
+polynomials; linear substitutions preserve total degree.  Packed polynomials
+are plain ``dict[int, coefficient]``; the solvers in `invariants` and
+`verify` stay in that form end to end, always with one common scale per
+solve.  `IncrementPolynomial` (exponent tuples, QQ coefficients) is the
+public type, converted to and from only at the edges: `word_poly`,
+`element_poly`, `LinearSubstitution.apply`, `signature_polynomial` and the
+text functions.
 """
 
 from __future__ import annotations
@@ -29,6 +44,12 @@ from .exactq import QQ, Q0, Q1, qq
 from .freealg import EMPTY_WORD, TensorElement, Word
 
 Monomial = tuple[int, ...]
+# A packed polynomial: packed monomial -> coefficient (int wherever the
+# inputs are integral, else QQ).
+Packed = dict[int, object]
+
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 def _factorial_inv(k: int) -> QQ:
@@ -316,6 +337,85 @@ class IncrementPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+def _unit(var: int) -> int:
+    """The packed monomial of one variable."""
+    return 1 << (FIELD_BITS * var)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds the packed monomial field (at most {MAX_DEGREE})"
+        )
+
+
+def _pack(mono: Monomial) -> int:
+    if any(e < 0 for e in mono):
+        raise ValueError("negative exponent in a monomial")
+    _check_degree(sum(mono))
+    packed = 0
+    for var, e in enumerate(mono):
+        packed |= e << (FIELD_BITS * var)
+    return packed
+
+
+def _unpack(packed: int, nvars: int) -> Monomial:
+    return tuple((packed >> (FIELD_BITS * var)) & MAX_DEGREE for var in range(nvars))
+
+
+def _combine(pairs: Iterable[tuple[object, Packed]]) -> Packed:
+    """The sum of coeff * poly over (coeff, packed poly) pairs."""
+    out: Packed = {}
+    for coeff, poly in pairs:
+        for m, c in poly.items():
+            nc = out.get(m, 0) + coeff * c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+def packed_difference(p: Packed, q: Packed) -> Packed:
+    """p - q on packed polynomials."""
+    return _combine(((1, p), (-1, q)))
+
+
+def _packed_mul(p: Packed, q: Packed) -> Packed:
+    out: Packed = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 + m2
+            nc = out.get(m, 0) + c1 * c2
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+def integral_coefficients(elements: Sequence[TensorElement]) -> tuple[list[dict[Word, int]], int]:
+    """Word coefficients of the elements times their common denominator D, and D.
+
+    Solvers scale all their columns by this one D: scaling every column of
+    a matrix alike keeps its kernel, scaling columns apart would not.
+    """
+    den = 1
+    for x in elements:
+        for c in x.terms.values():
+            den = math.lcm(den, int(c.denominator))
+    rows = [
+        {w: int(c.numerator) * (den // int(c.denominator)) for w, c in x.terms.items()}
+        for x in elements
+    ]
+    return rows, den
+
+
+# ---------------------------------------------------------------------------
 # the symbolic signature map
 # ---------------------------------------------------------------------------
 
@@ -325,6 +425,9 @@ class SigPolyCalculator:
 
     The Chen recursion over the first segment is memoized on (segment,
     suffix word), which shares work across the many words of a graded batch.
+    Internally a word of length L maps to L! times its polynomial, packed
+    (see the module docstring); `word_poly` and `element_poly` convert to
+    `IncrementPolynomial`.
     """
 
     def __init__(self, d: int, n: int):
@@ -332,67 +435,59 @@ class SigPolyCalculator:
             raise ValueError("need d >= 1 and n >= 1")
         self.d = d
         self.n = n
-        self._memo: dict[tuple[int, Word], dict[Monomial, QQ]] = {}
-        self._zero_mono = (0,) * ((n - 1) * d)
+        self._memo: dict[tuple[int, Word], dict[int, int]] = {}
+        # _letters[s][i]: the packed variable a[s][i] (index 0 unused)
+        self._letters = [()] + [
+            (0,) + tuple(_unit((s - 1) * d + i) for i in range(d)) for s in range(1, n)
+        ]
 
-    def _segment_monomial(self, s: int, word: Word) -> Monomial:
-        mono = list(self._zero_mono)
-        base = (s - 1) * self.d
-        for letter in word:
-            mono[base + letter - 1] += 1
-        return tuple(mono)
-
-    def _poly(self, s: int, word: Word) -> dict[Monomial, QQ]:
-        # polynomial of `word` on segments s..n-1
+    def _poly(self, s: int, word: Word) -> dict[int, int]:
+        # L! times the polynomial of `word` (length L) on segments s..n-1
         if s == self.n:
-            return {self._zero_mono: Q1} if not word else {}
+            return {0: 1} if not word else {}
         key = (s, word)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        out: dict[Monomial, QQ] = {}
-        for j in range(len(word) + 1):
+        length = len(word)
+        _check_degree(length)
+        letters = self._letters[s]
+        out = dict(self._poly(s + 1, word))
+        seg = 0
+        for j in range(1, length + 1):
+            seg += letters[word[j - 1]]
             tail = self._poly(s + 1, word[j:])
-            if not tail:
-                continue
-            coeff = _factorial_inv(j)
-            if j == 0:
-                for m, c in tail.items():
-                    nc = out.get(m, Q0) + c
-                    if nc == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = nc
-                continue
-            seg = self._segment_monomial(s, word[:j])
-            for m, c in tail.items():
-                key2 = tuple(a + b for a, b in zip(m, seg))
-                nc = out.get(key2, Q0) + coeff * c
-                if nc == 0:
-                    out.pop(key2, None)
-                else:
-                    out[key2] = nc
+            if tail:
+                binom = math.comb(length, j)
+                # terms of different j differ in their segment-s degree, so none meet
+                out.update({m + seg: binom * c for m, c in tail.items()})
         self._memo[key] = out
         return out
+
+    def combination(self, coeffs: Mapping[Word, int]) -> dict[int, int]:
+        """Sum of c * |w|! * (polynomial of w) over integer coefficients c."""
+        return _combine((c, self._poly(1, w)) for w, c in coeffs.items())
+
+    def _to_polynomial(self, terms: Mapping[int, int], den: int) -> IncrementPolynomial:
+        # a packed term of degree k stands for 1/(den * k!) of itself
+        nvars = (self.n - 1) * self.d
+        out: dict[Monomial, QQ] = {}
+        for m, c in terms.items():
+            mono = _unpack(m, nvars)
+            out[mono] = QQ(c, den * math.factorial(sum(mono)))
+        return IncrementPolynomial(self.d, self.n, out)
 
     def word_poly(self, word: Iterable[int]) -> IncrementPolynomial:
         w = tuple(word)
         if any(not 1 <= letter <= self.d for letter in w):
             raise ValueError("word letters outside the alphabet")
-        return IncrementPolynomial(self.d, self.n, self._poly(1, w))
+        return self._to_polynomial(self._poly(1, w), 1)
 
     def element_poly(self, x: TensorElement) -> IncrementPolynomial:
         if x.d != self.d:
             raise ValueError("alphabet mismatch")
-        out: dict[Monomial, QQ] = {}
-        for w, coeff in x.terms.items():
-            for m, c in self._poly(1, w).items():
-                nc = out.get(m, Q0) + coeff * c
-                if nc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        return IncrementPolynomial(self.d, self.n, out)
+        (coeffs,), den = integral_coefficients([x])
+        return self._to_polynomial(self.combination(coeffs), den)
 
 
 def signature_polynomial(x, n: int, d: int | None = None) -> IncrementPolynomial:
@@ -415,8 +510,11 @@ class LinearSubstitution:
     """Substitute every increment variable by a linear form in new variables.
 
     `forms[v]` lists (target variable, coefficient) pairs.  Expansions are
-    cached per monomial, which matters when the same substitution is applied
-    to the polynomials of a whole graded batch of words.
+    cached per packed monomial, which matters when the same substitution is
+    applied to the polynomials of a whole graded batch of words.  Integral
+    form coefficients are kept as ints, so permutations and loop closures
+    map integer polynomials to integer polynomials; rational ones (collinear
+    merges) carry QQ through the same code.
     """
 
     def __init__(self, d: int, n_in: int, n_out: int, forms: Mapping[int, Sequence[tuple[int, QQ]]]):
@@ -425,67 +523,51 @@ class LinearSubstitution:
         self.n_out = n_out
         self._nvars_in = (n_in - 1) * d
         self._nvars_out = (n_out - 1) * d
-        self._zero_out = (0,) * self._nvars_out
-        self.forms = {v: tuple(form) for v, form in forms.items()}
+        self.forms = {v: tuple((t, _int_if_integral(c)) for t, c in form) for v, form in forms.items()}
         if set(self.forms) != set(range(self._nvars_in)):
             raise ValueError("every input variable needs a substitution form")
-        self._pow_cache: dict[tuple[int, int], dict[Monomial, QQ]] = {}
-        self._mono_cache: dict[Monomial, dict[Monomial, QQ]] = {}
+        self._pow_cache: dict[tuple[int, int], Packed] = {}
+        self._mono_cache: dict[int, Packed] = {}
 
-    def _power(self, var: int, e: int) -> dict[Monomial, QQ]:
+    def _power(self, var: int, e: int) -> Packed:
         key = (var, e)
         cached = self._pow_cache.get(key)
         if cached is not None:
             return cached
-        if e == 0:
-            result = {self._zero_out: Q1}
-        elif e == 1:
-            result = {}
-            for target, coeff in self.forms[var]:
-                mono = list(self._zero_out)
-                mono[target] += 1
-                result[tuple(mono)] = QQ(coeff)
+        if e == 1:
+            result = _combine((coeff, {_unit(target): 1}) for target, coeff in self.forms[var])
         else:
-            result = _dict_mul(self._power(var, e - 1), self._power(var, 1))
+            result = _packed_mul(self._power(var, e - 1), self._power(var, 1))
         self._pow_cache[key] = result
         return result
 
-    def _expand_monomial(self, mono: Monomial) -> dict[Monomial, QQ]:
+    def _expand_monomial(self, mono: int) -> Packed:
         cached = self._mono_cache.get(mono)
         if cached is not None:
             return cached
-        result = {self._zero_out: Q1}
-        for var, e in enumerate(mono):
+        result: Packed = {0: 1}
+        for var, e in enumerate(_unpack(mono, self._nvars_in)):
             if e:
-                result = _dict_mul(result, self._power(var, e))
+                result = _packed_mul(result, self._power(var, e))
         self._mono_cache[mono] = result
         return result
+
+    def apply_packed(self, terms: Mapping[int, object]) -> Packed:
+        """The substitution on a packed polynomial over the input variables."""
+        return _combine((coeff, self._expand_monomial(mono)) for mono, coeff in terms.items())
 
     def apply(self, p: IncrementPolynomial) -> IncrementPolynomial:
         if (p.d, p.n) != (self.d, self.n_in):
             raise ValueError("polynomial does not match the substitution domain")
-        out: dict[Monomial, QQ] = {}
-        for mono, coeff in p.terms.items():
-            for m2, c2 in self._expand_monomial(mono).items():
-                nc = out.get(m2, Q0) + coeff * c2
-                if nc == 0:
-                    out.pop(m2, None)
-                else:
-                    out[m2] = nc
-        return IncrementPolynomial(self.d, self.n_out, out)
+        out = self.apply_packed({_pack(m): c for m, c in p.terms.items()})
+        return IncrementPolynomial(
+            self.d, self.n_out, {_unpack(m, self._nvars_out): c for m, c in out.items()}
+        )
 
 
-def _dict_mul(p: dict[Monomial, QQ], q: dict[Monomial, QQ]) -> dict[Monomial, QQ]:
-    out: dict[Monomial, QQ] = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            nc = out.get(m, Q0) + c1 * c2
-            if nc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nc
-    return out
+def _int_if_integral(c) -> object:
+    c = qq(c)
+    return int(c) if c.denominator == 1 else c
 
 
 def permutation_substitution(d: int, n: int, sigma: Sequence[int]) -> LinearSubstitution:
@@ -579,19 +661,19 @@ _VAR_RE = re.compile(r"a\[(\d+)\]\[(\d+)\](?:\^(\d+))?")
 _POLY_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?((?:\*?a\[\d+\]\[\d+\](?:\^\d+)?)*)$")
 
 
-def polynomial_to_text(p: IncrementPolynomial) -> str:
-    """Canonical text form, monomials in graded order then by exponents."""
-    if not p.terms:
+def _render(terms: Mapping[Monomial, QQ], d: int, name: str) -> str:
+    # monomials in graded order then by exponents; variable idx is name[idx//d+1][idx%d+1]
+    if not terms:
         return "0"
     parts: list[str] = []
-    for mono in sorted(p.terms, key=lambda m: (sum(m), tuple(-e for e in m))):
-        c = p.terms[mono]
+    for mono in sorted(terms, key=lambda m: (sum(m), tuple(-e for e in m))):
+        c = terms[mono]
         factors = []
         for idx, e in enumerate(mono):
             if not e:
                 continue
-            s, i = divmod(idx, p.d)
-            var = f"a[{s + 1}][{i + 1}]"
+            s, i = divmod(idx, d)
+            var = f"{name}[{s + 1}][{i + 1}]"
             factors.append(var if e == 1 else f"{var}^{e}")
         mag = abs(c)
         if not factors:
@@ -605,6 +687,11 @@ def polynomial_to_text(p: IncrementPolynomial) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def polynomial_to_text(p: IncrementPolynomial) -> str:
+    """Canonical text form, monomials in graded order then by exponents."""
+    return _render(p.terms, p.d, "a")
 
 
 def polynomial_to_x_text(p: IncrementPolynomial) -> str:
@@ -614,63 +701,14 @@ def polynomial_to_x_text(p: IncrementPolynomial) -> str:
     for display only, the increment form stays the computational carrier.
     """
     d, n = p.d, p.n
-    nx = n * d
-    zero = (0,) * nx
-    expanded: dict[Monomial, QQ] = {}
-    pow_cache: dict[tuple[int, int], dict[Monomial, QQ]] = {}
-
-    def var_power(var: int, e: int) -> dict[Monomial, QQ]:
-        cached = pow_cache.get((var, e))
-        if cached is not None:
-            return cached
-        if e == 0:
-            result = {zero: Q1}
-        else:
-            s, i = divmod(var, d)
-            hi = list(zero)
-            hi[(s + 1) * d + i] = 1
-            lo = list(zero)
-            lo[s * d + i] = 1
-            base = {tuple(hi): Q1, tuple(lo): -Q1}
-            result = _dict_mul(var_power(var, e - 1), base)
-        pow_cache[(var, e)] = result
-        return result
-
-    for mono, coeff in p.terms.items():
-        part = {zero: coeff}
-        for var, e in enumerate(mono):
-            if e:
-                part = _dict_mul(part, var_power(var, e))
-        for m2, c2 in part.items():
-            nc = expanded.get(m2, Q0) + c2
-            if nc == 0:
-                expanded.pop(m2, None)
-            else:
-                expanded[m2] = nc
-    if not expanded:
-        return "0"
-    parts: list[str] = []
-    for mono in sorted(expanded, key=lambda m: (sum(m), tuple(-e for e in m))):
-        c = expanded[mono]
-        factors = []
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            i, j = divmod(idx, d)
-            var = f"x[{i + 1}][{j + 1}]"
-            factors.append(var if e == 1 else f"{var}^{e}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    # the n*d point coordinates are the variables of an (n+1)-point increment layout
+    forms = {
+        (s - 1) * d + i: [(s * d + i, Q1), ((s - 1) * d + i, -Q1)]
+        for s in range(1, n)
+        for i in range(d)
+    }
+    expanded = LinearSubstitution(d, n, n + 1, forms).apply(p)
+    return _render(expanded.terms, d, "x")
 
 
 def parse_polynomial(text: str, d: int, n: int) -> IncrementPolynomial:

@@ -27,13 +27,12 @@ from .freealg import (
     volume_element,
 )
 from .invariants import (
-    _closure_context,
-    _closure_diffs,
     dim_image,
     inv_d_space,
     invariant_space,
     is_invariant,
     kernel_space,
+    loopclosure_combinations,
     loopclosure_membership,
     loopclosure_space,
     words_of_degree,
@@ -79,6 +78,13 @@ def _random_element(rng: random.Random, d: int, maxdeg: int, nterms: int = 3) ->
         w = tuple(rng.randint(1, d) for _ in range(rng.randint(1, maxdeg)))
         terms[w] = qq(rng.randint(-4, 4), rng.randint(1, 3))
     return TensorElement(d, terms)
+
+
+def _inv_d_3_6(cache: dict):
+    """The degree-6 simultaneous invariants for d = 3, solved once per cache."""
+    if "inv_d_3_6" not in cache:
+        cache["inv_d_3_6"] = inv_d_space(3, 6)
+    return cache["inv_d_3_6"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def check_concat_square(cache: dict) -> tuple[bool, str]:
     kernel = kernel_space(3, 5, 6)
     in_kernel_space = kernel.contains(sq)
     fixed = antipode(sq) == sq
-    inv = cache.setdefault("inv_d_3_6", inv_d_space(3, 6))
+    inv = _inv_d_3_6(cache)
     member = inv.contains(sq)
     ok = in_kernel and in_kernel_space and fixed and member
     return ok, (
@@ -160,15 +166,7 @@ def check_level7(cache: dict) -> tuple[bool, str]:
     elements = [fixtures.element(name) for name in fixtures.LEVEL7_NAMES]
     calc = SigPolyCalculator(4, 6)
     kernel_ok = all(calc.element_poly(e).is_zero() for e in elements)
-    calc_small, calc_big, subs = _closure_context(4, 7)
-    builder = MatrixBuilder(len(elements))
-    for j, e in enumerate(elements):
-        entries = {}
-        for side, diff in enumerate(_closure_diffs(e, 4, 7, calc_small, calc_big, subs)):
-            for mono, c in diff.terms.items():
-                entries[(side, mono)] = c
-        builder.add_column(j, entries)
-    combos = nullspace(builder.build()).dim
+    combos = loopclosure_combinations(elements, 7).dim
     cache["level7_independent"] = combos == 0
     ok = kernel_ok and combos == 0
     return ok, f"all 8 in the 6-point kernel={kernel_ok}; loop-closure combinations={combos} (expected 0)"
@@ -353,7 +351,7 @@ def check_finite_witnesses(cache: dict) -> tuple[bool, str]:
     vol3 = volume_element(3)
     low = inv_d_space(3, 3)
     low_ok = low.contains(vol3)
-    inv = cache.setdefault("inv_d_3_6", inv_d_space(3, 6))
+    inv = _inv_d_3_6(cache)
     sq_ok = inv.contains(fixtures.element("vol3_concat_sq"))
     shuffle_ok = inv.contains(shuffle_power(vol3, 2))  # shuffle-subalgebra closure
     independent = cache.get("level7_independent")

@@ -66,3 +66,24 @@ def test_criterion_11_lyndon_counts():
 
 def test_criterion_12_finite_degree_witnesses():
     _criterion(12)
+
+
+def test_simultaneous_invariants_are_solved_once_per_cache(monkeypatch):
+    class Everything:
+        dim = 0
+
+        def contains(self, x):
+            return True
+
+    calls = []
+
+    def counting_inv_d_space(d, k):
+        calls.append((d, k))
+        return Everything()
+
+    monkeypatch.setattr(verify, "inv_d_space", counting_inv_d_space)
+    monkeypatch.setattr(verify, "kernel_space", lambda d, n, k: Everything())
+    cache = {"level7_independent": True}
+    verify.check_concat_square(cache)
+    verify.check_finite_witnesses(cache)
+    assert calls.count((3, 6)) == 1

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sigvol
 from sigvol.cli import run
 
 
@@ -141,3 +145,38 @@ def test_loopclosure_space_command(capsys):
     code, data = run_json(capsys, ["loopclosure-space", "--d", "2", "--k", "2"])
     assert code == 0
     assert data["basis"] == ["12 - 21"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--path", "0,0;1", "--maxdeg", "2"],  # ragged path
+        ["hmap", "1x2", "--n", "3"],  # unparseable element
+        ["inv-space", "--d", "3", "--n", "2", "--k", "2"],  # n < d+1
+        ["kernel-space", "--d", "0", "--n", "3", "--k", "2"],  # d = 0
+        ["hmap", "12", "--n", "0"],  # n = 0
+        ["volume", "--moment-curve", "3,2,1,0", "--d", "2"],  # decreasing parameters
+        ["pair", "--path", "0,0;1,1", "--element", "1", "--d", "3"],  # alphabet != dimension
+        ["hmap", "1" * 256, "--n", "2"],  # above the packed monomial field
+        ["check-element", "--fixture", "no_such_fixture.txt", "--n", "4"],
+        ["check-element", "--fixture", "invariants_d3_n4.txt", "--n", "3"],
+        ["reproduce-paper", "--only", "99"],
+        ["--format", "text", "reproduce-paper", "--only", "99"],
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sigvol: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sigvol.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigvol", "lyndon", "--d", "2", "--k", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["words"] == ["112", "122"]

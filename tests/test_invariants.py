@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sigvol import fixtures
-from sigvol.exactq import intersect, qq
+from sigvol.exactq import SubspaceQ, intersect, qq
 from sigvol.freealg import (
     TensorElement,
     antipode,
@@ -19,6 +19,7 @@ from sigvol.invariants import (
     invariant_space,
     is_invariant,
     kernel_space,
+    loopclosure_combinations,
     loopclosure_membership,
     loopclosure_space,
     timerev_space,
@@ -208,6 +209,14 @@ def test_loopclosure_membership_graded():
 
 
 # -- simultaneous invariants -----------------------------------------------------------
+
+
+def test_element_columns_share_one_scale():
+    # 2*(u/2) - u = 0 survives loop closure; u = 11 alone does not.  Scaling
+    # the two columns by their own denominators would report (1, -1) instead.
+    u = TensorElement.from_word(2, (1, 1))
+    space = loopclosure_combinations([u.scale(qq(1, 2)), u], 2)
+    assert space == SubspaceQ(2, [{0: qq(1), 1: qq(-1, 2)}])
 
 
 def test_inv_d_degree_zero():

@@ -1,14 +1,18 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from sigvol.exactq import qq
 from sigvol.freealg import TensorElement, antipode, parse_element, shuffle, volume_element
 from sigvol.sigpoly import (
+    MAX_DEGREE,
     IncrementPolynomial,
     PLPath,
     SigPolyCalculator,
     chen_product,
+    closure_substitution,
     pair,
     parse_polynomial,
     permute_control_points,
@@ -309,3 +313,160 @@ def test_path_validation():
         PLPath([(1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         PLPath([(0, 0), (1, 1)]).permuted((1, 1))
+
+
+# -- the packed integer kernel against a plain reference -------------------------
+#
+# The reference keeps the loop version: tuple monomials, Fraction coefficients,
+# the Chen recursion with 1/j! weights, and substitutions derived from where the
+# control points of the substituted path sit, expanded one linear factor at a time.
+
+
+def ref_word_terms(d, n, word):
+    nvars = (n - 1) * d
+
+    def rec(s, w):
+        if s == n:
+            return {(0,) * nvars: Fraction(1)} if not w else {}
+        out = {}
+        for j in range(len(w) + 1):
+            seg = [0] * nvars
+            for letter in w[:j]:
+                seg[(s - 1) * d + letter - 1] += 1
+            for m, c in rec(s + 1, w[j:]).items():
+                key = tuple(a + b for a, b in zip(m, seg))
+                out[key] = out.get(key, 0) + c / math.factorial(j)
+        return out
+
+    return rec(1, tuple(word))
+
+
+def ref_element_poly(d, n, x):
+    out = {}
+    for w, c in x.terms.items():
+        for m, v in ref_word_terms(d, n, w).items():
+            out[m] = out.get(m, 0) + c * v
+    return IncrementPolynomial(d, n, out)
+
+
+def ref_forms(d, points):
+    """Linear forms of the substituted increments, given the substituted path's
+    control points as weights on the points of the target path (1-based), where
+    target point j is the sum of the target increments before it."""
+    forms = {}
+    for t in range(1, len(points)):
+        here, before = points[t], points[t - 1]
+        weight = {j: here.get(j, 0) - before.get(j, 0) for j in set(here) | set(before)}
+        n_out = max(max(p) for p in points)
+        coeff = {s: sum(w for j, w in weight.items() if s < j) for s in range(1, n_out)}
+        for i in range(d):
+            forms[(t - 1) * d + i] = [((s - 1) * d + i, c) for s, c in coeff.items() if c]
+    return forms
+
+
+def ref_substitute(p, n_out, forms):
+    nvars_out = (n_out - 1) * p.d
+    out = {}
+    for mono, coeff in p.terms.items():
+        part = {(0,) * nvars_out: Fraction(coeff)}
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                grown = {}
+                for m, c in part.items():
+                    for target, w in forms[var]:
+                        key = list(m)
+                        key[target] += 1
+                        grown[tuple(key)] = grown.get(tuple(key), 0) + c * w
+                part = grown
+        for m, c in part.items():
+            out[m] = out.get(m, 0) + c
+    return IncrementPolynomial(p.d, n_out, out)
+
+
+def random_element(rng, d, maxdeg, nterms):
+    terms = {}
+    for _ in range(nterms):
+        w = tuple(rng.randint(1, d) for _ in range(rng.randint(0, maxdeg)))
+        terms[w] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return TensorElement(d, terms)
+
+
+def random_polynomial(rng, d, n, maxdeg):
+    nvars = (n - 1) * d
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, maxdeg)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return IncrementPolynomial(d, n, terms)
+
+
+@pytest.mark.parametrize("d,n,k", [(1, 4, 5), (2, 2, 4), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 4, 2)])
+def test_word_and_element_polynomials_match_reference(d, n, k):
+    rng = random.Random(100 * d + 10 * n + k)
+    calc = SigPolyCalculator(d, n)
+    for _ in range(12):
+        w = tuple(rng.randint(1, d) for _ in range(rng.randint(0, k)))
+        assert calc.word_poly(w) == IncrementPolynomial(d, n, ref_word_terms(d, n, w))
+    for _ in range(8):
+        x = random_element(rng, d, k, rng.randint(1, 6))
+        expected = ref_element_poly(d, n, x)
+        assert calc.element_poly(x) == expected
+        assert signature_polynomial(x, n) == expected
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_permutation_substitution_matches_reference(d, n):
+    rng = random.Random(200 + 10 * d + n)
+    for _ in range(6):
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        forms = ref_forms(d, [{j: 1} for j in sigma])
+        x = random_element(rng, d, 4, 4)
+        for p in (signature_polynomial(x, n), random_polynomial(rng, d, n, 4)):
+            assert permute_control_points(p, sigma) == ref_substitute(p, n, forms)
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(2, 5), Fraction(-3, 7), Fraction(1)])
+def test_collinear_substitution_matches_reference(lam):
+    rng = random.Random(300 + lam.numerator)
+    for _ in range(8):
+        d = rng.choice([1, 2, 3])
+        n = rng.randint(3, 5)
+        i = rng.randint(2, n - 1)
+        merged = {i - 1: lam, i: 1 - lam}
+        points = [{j: 1} for j in range(1, i)] + [merged] + [{j - 1: 1} for j in range(i + 1, n + 1)]
+        forms = ref_forms(d, points)
+        # a generic polynomial, so that the result does depend on lam
+        p = random_polynomial(rng, d, n, 4)
+        assert substitute_collinear(p, i, lam) == ref_substitute(p, n - 1, forms)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_closure_substitution_matches_reference(side):
+    rng = random.Random(400 + len(side))
+    for _ in range(8):
+        d = rng.choice([1, 2, 3])
+        m = rng.randint(1, 3)
+        path = [{j: 1} for j in range(1, m + 2)]
+        points = path + [{1: 1}] if side == "right" else [{m + 1: 1}] + path
+        forms = ref_forms(d, points)
+        x = random_element(rng, d, 4, 4)
+        for p in (signature_polynomial(x, m + 2), random_polynomial(rng, d, m + 2, 4)):
+            assert closure_substitution(d, m, side).apply(p) == ref_substitute(p, m + 1, forms)
+
+
+def test_packed_field_overflow_raises():
+    # per-variable exponents fit the field; the merge makes their sum the exponent
+    fits = IncrementPolynomial(1, 3, {(200, MAX_DEGREE - 200): 1})
+    lam = Fraction(1, 3)
+    forms = ref_forms(1, [{1: 1}, {1: lam, 2: 1 - lam}, {2: 1}])
+    assert substitute_collinear(fits, 2, lam) == ref_substitute(fits, 2, forms)
+    too_big = IncrementPolynomial(1, 3, {(200, MAX_DEGREE - 199): 1})
+    with pytest.raises(OverflowError):
+        substitute_collinear(too_big, 2, lam)
+    with pytest.raises(OverflowError):
+        permute_control_points(too_big, (2, 1, 3))
+    with pytest.raises(OverflowError):
+        signature_polynomial((1,) * (MAX_DEGREE + 1), 2, d=1)
