@@ -39,11 +39,12 @@ from .invariants import (
     loopclosure_space,
     timerev_space,
 )
-from .parallel import set_max_threads
 from .posgeom import (
+    GROUP_NAMES,
     PermGroup,
     gale_facets,
     moment_curve_instance,
+    named_group,
     polytope_volume,
     signed_volume,
     stabilizer_bruteforce,
@@ -52,6 +53,7 @@ from .posgeom import (
 from .sigpoly import (
     MAX_DEGREE,
     PLPath,
+    SigPolyCalculator,
     pair,
     pl_signature,
     polynomial_to_text,
@@ -72,7 +74,7 @@ def _checked(fn, *args):
 
 
 # lower bounds of the integer options, checked before any computation
-_MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1}
+_MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1, "threads": 1}
 
 
 def _check_ranges(args) -> None:
@@ -114,24 +116,7 @@ def _signature_json(sig) -> dict:
 def _group_for(name: str, d: int, n: int) -> PermGroup:
     if name == "auto":
         return _checked(stabilizer_structural, d, n)
-    if name == "trivial":
-        return PermGroup.generated(n, [], "trivial")
-    if name == "cyclic":
-        from .posgeom import _rotation
-
-        return PermGroup.generated(n, [_rotation(n)], "Z/n")
-    if name == "dihedral":
-        from .posgeom import _reversal, _rotation
-
-        return PermGroup.generated(n, [_rotation(n), _reversal(n)], "D_n")
-    if name == "full":
-        from .posgeom import Permutation
-
-        gens = [Permutation.from_cycles(n, (1, 2))]
-        if n > 2:
-            gens.append(Permutation(list(range(2, n + 1)) + [1]))
-        return PermGroup.generated(n, gens, "S_n")
-    raise UsageError(f"unknown group {name!r}")
+    return named_group(name, n)
 
 
 def _emit(data, fmt: str, text_render=None) -> None:
@@ -164,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact signature polynomials, positive-matrix stabilizers and volume invariants",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1, help="bound on internal parallelism")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shuffle", help="shuffle product of two elements")
@@ -223,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--group", choices=("auto", "trivial", "cyclic", "dihedral", "full"), default="auto")
+    p.add_argument("--group", choices=("auto",) + GROUP_NAMES, default="auto")
 
     p = sub.add_parser("kernel-space", help="graded kernel of the n-point signature map")
     p.add_argument("--d", type=int, required=True)
@@ -264,7 +249,6 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_ranges(args)
-        _checked(set_max_threads, args.threads)
         return _dispatch(args)
     except UsageError as exc:
         print(f"sigvol: error: {exc}", file=sys.stderr)
@@ -394,6 +378,7 @@ def _dispatch(args) -> int:
             _check_polynomial_degree(x)
         report = {}
         ok = True
+        calculators: dict[int, SigPolyCalculator] = {}  # one memo per alphabet
         for name, x in elements.items():
             entry = {}
             for check in checks:
@@ -406,7 +391,9 @@ def _dispatch(args) -> int:
                 elif check == "kernel":
                     if args.n is None:
                         raise UsageError("check 'kernel' needs --n")
-                    entry[check] = signature_polynomial(x, args.n).is_zero()
+                    if x.d not in calculators:
+                        calculators[x.d] = SigPolyCalculator(x.d, args.n)
+                    entry[check] = calculators[x.d].element_poly(x).is_zero()
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
                 elif check == "loopclosure":

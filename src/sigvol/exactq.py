@@ -39,6 +39,30 @@ def qq(value, den=None) -> QQ:
     return QQ(value)
 
 
+def add_scaled(out: dict, factor, terms: Mapping) -> dict:
+    """Add factor * terms into the sparse map `out` in place and return `out`.
+
+    A key whose sum cancels is removed, so `out` never stores a zero.  This
+    is the one accumulate step behind every linear combination in the
+    package: words, monomials and coordinate rows alike.
+    """
+    for key, v in terms.items():
+        total = out.get(key, 0) + factor * v
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def combine(pairs: Iterable[tuple[object, Mapping]]) -> dict:
+    """The sum of factor * terms over (factor, sparse map) pairs."""
+    out: dict = {}
+    for factor, terms in pairs:
+        add_scaled(out, factor, terms)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
@@ -108,26 +132,18 @@ class MatrixBuilder:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._row_keys: dict = {}
         self._cols: list[dict] = [dict() for _ in range(ncols)]
 
     def add_column(self, col_index: int, entries: Mapping) -> None:
-        col = self._cols[col_index]
-        for key, v in entries.items():
-            if v != 0:
-                col[key] = col.get(key, 0) + v
-                if col[key] == 0:
-                    del col[key]
-                self._row_keys.setdefault(key, None)
+        add_scaled(self._cols[col_index], 1, entries)
 
     def build(self) -> SparseMatrixQ:
-        keys = sorted(self._row_keys)
+        keys = sorted(set().union(*self._cols))
         index = {key: i for i, key in enumerate(keys)}
         entries = {}
         for c, col in enumerate(self._cols):
             for key, v in col.items():
-                if v != 0:
-                    entries[(index[key], c)] = v
+                entries[(index[key], c)] = v
         return SparseMatrixQ(len(keys), self.ncols, entries)
 
 
@@ -154,10 +170,6 @@ class SubspaceQ:
             self.basis = rref_rows(rows)
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, (), _canonical=True)
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "SubspaceQ":
         return cls(ambient_dim, [{i: Q1} for i in range(ambient_dim)], _canonical=True)
 
@@ -172,23 +184,13 @@ class SubspaceQ:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivot_columns(self) -> list[int]:
-        return [min(row) for row in self.basis]
-
     def reduce(self, vector: Mapping[int, QQ]) -> dict[int, QQ]:
         """Residual of `vector` after elimination against the basis."""
         v = {c: QQ(x) for c, x in vector.items() if x != 0}
         for row in self.basis:
-            lead = min(row)
-            f = v.get(lead)
-            if f is None or f == 0:
-                continue
-            for c, x in row.items():
-                nv = v.get(c, Q0) - f * x
-                if nv == 0:
-                    v.pop(c, None)
-                else:
-                    v[c] = nv
+            f = v.get(min(row))
+            if f:
+                add_scaled(v, -f, row)
         return v
 
     def contains(self, vector: Mapping[int, QQ]) -> bool:
@@ -227,14 +229,8 @@ def rref_rows(rows: Iterable[Mapping[int, QQ]]) -> list[dict[int, QQ]]:
         # pivot rows carry no other pivot columns, so one pass clears them all
         for c in sorted(c for c in r if c in pivots):
             f = r.get(c)
-            if not f:
-                continue
-            for cc, v in pivots[c].items():
-                nv = r.get(cc, Q0) - f * v
-                if nv == 0:
-                    r.pop(cc, None)
-                else:
-                    r[cc] = nv
+            if f:
+                add_scaled(r, -f, pivots[c])
         if not r:
             continue
         lead = min(r)
@@ -243,14 +239,8 @@ def rref_rows(rows: Iterable[Mapping[int, QQ]]) -> list[dict[int, QQ]]:
         # clear the new pivot column from the existing rows
         for other in pivots.values():
             f = other.get(lead)
-            if f is None:
-                continue
-            for c, v in r.items():
-                nv = other.get(c, Q0) - f * v
-                if nv == 0:
-                    other.pop(c, None)
-                else:
-                    other[c] = nv
+            if f:
+                add_scaled(other, -f, r)
         pivots[lead] = r
     return [pivots[c] for c in sorted(pivots)]
 
@@ -307,18 +297,8 @@ def _echelon_int(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
                     r = {c: -v for c, v in r.items()}
                 pivots[lead] = _strip_content(r)
                 break
-            a = piv[lead]
-            b = r.pop(lead)
-            new = {c: a * v for c, v in r.items()}
-            for c, v in piv.items():
-                if c == lead:
-                    continue
-                nv = new.get(c, 0) - b * v
-                if nv == 0:
-                    new.pop(c, None)
-                else:
-                    new[c] = nv
-            r = _strip_content(new)
+            # piv[lead]*r - r[lead]*piv cancels the lead, which add_scaled drops
+            r = _strip_content(add_scaled({c: piv[lead] * v for c, v in r.items()}, -r[lead], piv))
     return pivots
 
 
@@ -403,8 +383,7 @@ def _rref_mod_p(mat, p: int):
 def _kernel_rref_mod_p(rows: list[dict[int, int]], ncols: int, p: int):
     """Canonical reduced-echelon kernel basis of the row system, mod p.
 
-    Returns (piv_cols_of_matrix, kernel_pattern, kernel_rows_mod_p) or None
-    when the kernel is zero.
+    Returns (piv_cols_of_matrix, kernel_pattern, kernel_rows_mod_p).
     """
     import numpy as np
 
@@ -496,10 +475,7 @@ def _nullspace_modular(rows: list[dict[int, int]], ncols: int) -> SubspaceQ | No
     pattern = None
     best_rank = -1
     for p in _PRIMES:
-        result = _kernel_rref_mod_p(rows, ncols, p)
-        if result is None:
-            continue
-        piv_cols, kpiv, kernel = result
+        piv_cols, kpiv, kernel = _kernel_rref_mod_p(rows, ncols, p)
         rank = len(piv_cols)
         if rank < best_rank:
             continue  # unlucky prime: it lost rank
@@ -601,21 +577,8 @@ def intersect(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
         for j, v in rows[c].items():
             entries[(i, j)] = v
     ns = nullspace(SparseMatrixQ(len(rows), da + b.dim, entries))
-    vectors = []
-    for sol in ns.basis:
-        vec: dict[int, QQ] = {}
-        for j in range(da):
-            lam = sol.get(j)
-            if lam is None or lam == 0:
-                continue
-            for c, v in a.basis[j].items():
-                nv = vec.get(c, Q0) + lam * v
-                if nv == 0:
-                    vec.pop(c, None)
-                else:
-                    vec[c] = nv
-        if vec:
-            vectors.append(vec)
+    # lift each solution through its a-part; rref_rows drops empty rows
+    vectors = [combine((lam, a.basis[j]) for j, lam in sol.items() if j < da) for sol in ns.basis]
     return SubspaceQ(a.ambient_dim, vectors)
 
 

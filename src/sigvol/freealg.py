@@ -17,7 +17,7 @@ import re
 from itertools import permutations
 from typing import Iterable, Mapping
 
-from .exactq import QQ, Q0, Q1, qq
+from .exactq import QQ, Q0, Q1, add_scaled, combine, qq
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -60,14 +60,7 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check_alphabet(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, Q0) + c
-            if nc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = nc
-        return TensorElement(self.d, out)
+        return TensorElement(self.d, add_scaled(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
@@ -151,13 +144,7 @@ def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     out: dict[Word, QQ] = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            c = cu * cv
-            for w, m in _shuffle_words(u, v).items():
-                nc = out.get(w, Q0) + c * m
-                if nc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = nc
+            add_scaled(out, cu * cv, _shuffle_words(u, v))
     return TensorElement(x.d, out)
 
 
@@ -193,15 +180,8 @@ def deconcat_pairs(w: Word) -> list[tuple[Word, Word]]:
 
 def antipode(x: TensorElement) -> TensorElement:
     """Signed reversal w -> (-1)**len(w) * reversed(w), extended linearly."""
-    out: dict[Word, QQ] = {}
-    for w, c in x.terms.items():
-        rw = w[::-1]
-        nc = out.get(rw, Q0) + (c if len(w) % 2 == 0 else -c)
-        if nc == 0:
-            out.pop(rw, None)
-        else:
-            out[rw] = nc
-    return TensorElement(x.d, out)
+    # reversal is a bijection on words, so no two terms meet
+    return TensorElement(x.d, {w[::-1]: c if len(w) % 2 == 0 else -c for w, c in x.terms.items()})
 
 
 def timerev_project(x: TensorElement) -> TensorElement:
@@ -314,14 +294,7 @@ def parse_element(text: str, d: int | None = None) -> TensorElement:
         d = maxletter
     elif maxletter > d:
         raise ValueError(f"letter {maxletter} exceeds alphabet size {d}")
-    terms: dict[Word, QQ] = {}
-    for coeff, word in raw:
-        nc = terms.get(word, Q0) + coeff
-        if nc == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = nc
-    return TensorElement(d, terms)
+    return TensorElement(d, combine((coeff, {word: 1}) for coeff, word in raw))
 
 
 def parse_fixture_blocks(text: str) -> list[tuple[str, str]]:

@@ -30,17 +30,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from .exactq import MatrixBuilder, Q0, Q1, QQ, SubspaceQ, intersect, nullspace
+from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, intersect, nullspace
 from .freealg import TensorElement, Word, shuffle_power, volume_element
-from .parallel import pmap
 from .posgeom import PermGroup, stabilizer_structural
-from .sigpoly import (
-    SigPolyCalculator,
-    closure_substitution,
-    integral_coefficients,
-    packed_difference,
-    permutation_substitution,
-)
+from .sigpoly import SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution
 
 
 def words_of_degree(d: int, k: int) -> list[Word]:
@@ -111,7 +104,7 @@ def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]],
 
     def conditions(coeffs: dict[Word, int]) -> list[dict]:
         base = calc.combination(coeffs)
-        return [packed_difference(sub.apply_packed(base), base) for sub in substitutions]
+        return [add_scaled(sub.apply_packed(base), -1, base) for sub in substitutions]
 
     return conditions
 
@@ -125,7 +118,7 @@ def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict
     def conditions(coeffs: dict[Word, int]) -> list[dict]:
         small = calc_small.combination(coeffs)
         big = calc_big.combination(coeffs)
-        return [packed_difference(sub.apply_packed(big), small) for sub in substitutions]
+        return [add_scaled(sub.apply_packed(big), -1, small) for sub in substitutions]
 
     return conditions
 
@@ -138,7 +131,8 @@ def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
     common denominator): scaling columns apart would change the kernel.
     """
     builder = MatrixBuilder(len(rows))
-    for c, diffs in enumerate(pmap(conditions, rows)):
+    for c, row in enumerate(rows):
+        diffs = conditions(row)
         builder.add_column(c, {(i, mono): v for i, diff in enumerate(diffs) for mono, v in diff.items()})
     return nullspace(builder.build())
 
@@ -149,9 +143,8 @@ def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     calc = SigPolyCalculator(d, n)
     builder = MatrixBuilder(len(words))
     # every column carries the same factor k!, which leaves the kernel alone
-    columns = pmap(lambda w: calc._poly(1, w), words)
-    for c, poly in enumerate(columns):
-        builder.add_column(c, poly)
+    for c, w in enumerate(words):
+        builder.add_column(c, calc._poly(1, w))
     space = nullspace(builder.build())
     return GradedBasis.from_space(d, k, space, n=n, group_tag="kernel")
 
@@ -176,13 +169,10 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
 def timerev_space(d: int, k: int) -> GradedBasis:
     """Fixed space of the antipode on degree-k words."""
     words = words_of_degree(d, k)
-    index = {w: c for c, w in enumerate(words)}
-    sign = Q1 if k % 2 == 0 else -Q1
+    sign = 1 if k % 2 == 0 else -1
     builder = MatrixBuilder(len(words))
     for c, w in enumerate(words):
-        entries = {w[::-1]: sign}
-        entries[w] = entries.get(w, Q0) - Q1
-        builder.add_column(c, entries)
+        builder.add_column(c, add_scaled({w[::-1]: sign}, -1, {w: 1}))
     space = nullspace(builder.build())
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
@@ -239,19 +229,8 @@ def _refine_by_group(basis: GradedBasis, n: int, group: PermGroup) -> GradedBasi
     d, k = basis.d, basis.k
     rows, _ = integral_coefficients(basis.elements)
     solutions = _solve(rows, _group_conditions(d, n, generators))
-    vectors: list[dict[int, QQ]] = []
     old_rows = basis.space.basis
-    for sol in solutions.basis:
-        vec: dict[int, QQ] = {}
-        for j, lam in sol.items():
-            for c, v in old_rows[j].items():
-                nv = vec.get(c, Q0) + lam * v
-                if nv == 0:
-                    vec.pop(c, None)
-                else:
-                    vec[c] = nv
-        if vec:
-            vectors.append(vec)
+    vectors = [combine((lam, old_rows[j]) for j, lam in sol.items()) for sol in solutions.basis]
     space = SubspaceQ(basis.space.ambient_dim, vectors)
     return GradedBasis.from_space(d, k, space, n=basis.n, group_tag=basis.group_tag)
 

@@ -296,6 +296,26 @@ def _rotation(n: int) -> Permutation:
     return Permutation([i % n + 1 for i in range(1, n + 1)])
 
 
+GROUP_NAMES = ("trivial", "cyclic", "dihedral", "full")
+
+
+def named_group(name: str, n: int) -> PermGroup:
+    """The trivial, cyclic, dihedral or full symmetric group on n points."""
+    if name == "trivial":
+        return PermGroup.generated(n, [], "trivial")
+    if name == "cyclic":
+        return PermGroup.generated(n, [_rotation(n)], "Z/n")
+    if name == "dihedral":
+        return PermGroup.generated(n, [_rotation(n), _reversal(n)], "D_n")
+    if name == "full":
+        # a transposition and an n-cycle generate S_n
+        gens = [Permutation.from_cycles(n, (1, 2))] if n > 1 else []
+        if n > 2:
+            gens.append(_rotation(n))
+        return PermGroup.generated(n, gens, "S_n")
+    raise ValueError(f"unknown group {name!r}")
+
+
 def stabilizer_structural(d: int, n: int) -> PermGroup:
     """Stabilizer built from its structural description, valid for all n >= d+1.
 
@@ -312,7 +332,7 @@ def stabilizer_structural(d: int, n: int) -> PermGroup:
             return PermGroup.generated(n, _class_preserving_even_generators(n), "A_n∩(SxS)")
         if ((d + 1) // 2) % 2 == 0:
             return PermGroup.generated(n, [_reversal(n)], "Z/2")
-        return PermGroup.generated(n, [], "trivial")
+        return named_group("trivial", n)
     # d even
     if n == d + 1:
         gens = _consecutive_three_cycles(n, list(range(1, n + 1)))
@@ -327,8 +347,8 @@ def stabilizer_structural(d: int, n: int) -> PermGroup:
         odd_swap = Permutation.from_cycles(n, (1, 3))
         return PermGroup.generated(n, base + [s.compose(odd_swap)], "ker phi")
     if (d // 2) % 2 == 0:
-        return PermGroup.generated(n, [_rotation(n), _reversal(n)], "D_n")
-    return PermGroup.generated(n, [_rotation(n)], "Z/n")
+        return named_group("dihedral", n)
+    return named_group("cyclic", n)
 
 
 def kaibel_wassmer_order(d: int, n: int) -> int:

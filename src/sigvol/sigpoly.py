@@ -40,7 +40,7 @@ import re
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .exactq import QQ, Q0, Q1, qq
+from .exactq import QQ, Q0, Q1, add_scaled, combine, qq
 from .freealg import EMPTY_WORD, TensorElement, Word
 
 Monomial = tuple[int, ...]
@@ -245,11 +245,6 @@ class IncrementPolynomial:
     def nvars(self) -> int:
         return (self.n - 1) * self.d
 
-    def var_index(self, s: int, i: int) -> int:
-        if not (1 <= s <= self.n - 1 and 1 <= i <= self.d):
-            raise ValueError(f"no variable a[{s}][{i}] for n={self.n}, d={self.d}")
-        return (s - 1) * self.d + (i - 1)
-
     @classmethod
     def constant(cls, d: int, n: int, value=1) -> "IncrementPolynomial":
         return cls(d, n, {(0,) * ((n - 1) * d): qq(value)})
@@ -266,14 +261,7 @@ class IncrementPolynomial:
 
     def __add__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, Q0) + c
-            if nc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nc
-        return IncrementPolynomial(self.d, self.n, out)
+        return IncrementPolynomial(self.d, self.n, add_scaled(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
         return self + (-other)
@@ -367,24 +355,6 @@ def _unpack(packed: int, nvars: int) -> Monomial:
     return tuple((packed >> (FIELD_BITS * var)) & MAX_DEGREE for var in range(nvars))
 
 
-def _combine(pairs: Iterable[tuple[object, Packed]]) -> Packed:
-    """The sum of coeff * poly over (coeff, packed poly) pairs."""
-    out: Packed = {}
-    for coeff, poly in pairs:
-        for m, c in poly.items():
-            nc = out.get(m, 0) + coeff * c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def packed_difference(p: Packed, q: Packed) -> Packed:
-    """p - q on packed polynomials."""
-    return _combine(((1, p), (-1, q)))
-
-
 def _packed_mul(p: Packed, q: Packed) -> Packed:
     out: Packed = {}
     for m1, c1 in p.items():
@@ -466,7 +436,7 @@ class SigPolyCalculator:
 
     def combination(self, coeffs: Mapping[Word, int]) -> dict[int, int]:
         """Sum of c * |w|! * (polynomial of w) over integer coefficients c."""
-        return _combine((c, self._poly(1, w)) for w, c in coeffs.items())
+        return combine((c, self._poly(1, w)) for w, c in coeffs.items())
 
     def _to_polynomial(self, terms: Mapping[int, int], den: int) -> IncrementPolynomial:
         # a packed term of degree k stands for 1/(den * k!) of itself
@@ -535,7 +505,7 @@ class LinearSubstitution:
         if cached is not None:
             return cached
         if e == 1:
-            result = _combine((coeff, {_unit(target): 1}) for target, coeff in self.forms[var])
+            result = combine((coeff, {_unit(target): 1}) for target, coeff in self.forms[var])
         else:
             result = _packed_mul(self._power(var, e - 1), self._power(var, 1))
         self._pow_cache[key] = result
@@ -554,7 +524,7 @@ class LinearSubstitution:
 
     def apply_packed(self, terms: Mapping[int, object]) -> Packed:
         """The substitution on a packed polynomial over the input variables."""
-        return _combine((coeff, self._expand_monomial(mono)) for mono, coeff in terms.items())
+        return combine((coeff, self._expand_monomial(mono)) for mono, coeff in terms.items())
 
     def apply(self, p: IncrementPolynomial) -> IncrementPolynomial:
         if (p.d, p.n) != (self.d, self.n_in):
@@ -736,10 +706,5 @@ def parse_polynomial(text: str, d: int, n: int) -> IncrementPolynomial:
             if not (1 <= s <= n - 1 and 1 <= i <= d):
                 raise ValueError(f"variable a[{s}][{i}] outside n={n}, d={d}")
             mono[(s - 1) * d + (i - 1)] += int(e_text) if e_text else 1
-        key = tuple(mono)
-        nc = terms.get(key, Q0) + coeff
-        if nc == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = nc
+        add_scaled(terms, coeff, {tuple(mono): 1})
     return IncrementPolynomial(d, n, terms)

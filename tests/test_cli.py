@@ -112,6 +112,16 @@ def test_conjecture_command(capsys):
     assert data["verdict"] == "consistent"
 
 
+@pytest.mark.parametrize(
+    "group, tag",
+    [("auto", "A_n"), ("trivial", "trivial"), ("cyclic", "Z/n"), ("dihedral", "D_n"), ("full", "S_n")],
+)
+def test_inv_space_group_tag(capsys, group, tag):
+    code, data = run_json(capsys, ["inv-space", "--d", "3", "--n", "4", "--k", "2", "--group", group])
+    assert code == 0
+    assert data["group"] == tag
+
+
 def test_output_byte_stable(capsys):
     run(["inv-space", "--d", "2", "--n", "4", "--k", "2"])
     first = capsys.readouterr().out
@@ -162,6 +172,7 @@ def test_loopclosure_space_command(capsys):
         ["check-element", "--fixture", "invariants_d3_n4.txt", "--n", "3"],
         ["reproduce-paper", "--only", "99"],
         ["--format", "text", "reproduce-paper", "--only", "99"],
+        ["--threads", "0", "lyndon", "--d", "2", "--k", "3"],
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -7,6 +7,8 @@ from sigvol.exactq import (
     MatrixBuilder,
     SparseMatrixQ,
     SubspaceQ,
+    add_scaled,
+    combine,
     det_q,
     intersect,
     nullspace,
@@ -160,6 +162,23 @@ def test_intersect_random_against_stacked_constraint_oracle():
             assert a.contains(row) and b.contains(row)
         if a.dim == 3 and b.dim == 3:
             assert inter.dim >= 1
+
+
+def test_add_scaled_works_in_place_and_drops_cancelled_keys():
+    out = {"a": 2, "b": qq(1, 2)}
+    result = add_scaled(out, -2, {"a": 1, "c": 3})
+    assert result is out
+    assert out == {"b": qq(1, 2), "c": -6}
+    add_scaled(out, qq(3, 4), {"b": qq(-2, 3), "c": 8})
+    assert out == {}
+
+
+def test_combine_mixes_int_and_rational_factors():
+    x = {(1,): qq(1, 3), (2,): 1}
+    y = {(1,): 1, (3,): qq(5, 2)}
+    assert combine([(3, x), (qq(-1), y)]) == {(2,): 3, (3,): qq(-5, 2)}
+    assert combine([(qq(1, 2), x), (qq(-1, 2), x)]) == {}
+    assert combine([]) == {}
 
 
 def test_matrix_builder_streaming_columns():

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from sigvol.posgeom import (
     is_positive_matrix,
     kaibel_wassmer_order,
     moment_curve_instance,
+    named_group,
     polytope_volume,
     signed_volume,
     stabilizer_bruteforce,
@@ -49,6 +51,20 @@ def test_group_generation_and_json():
     data = g.to_json()
     assert data["order"] == 5 and data["structure_tag"] == "Z/n"
     assert "elements" in data  # small group ships its element list
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_named_group_orders(n):
+    orders = {"trivial": 1, "cyclic": n, "dihedral": 2 * n, "full": math.factorial(n)}
+    for name, order in orders.items():
+        assert named_group(name, n).order == order
+    with pytest.raises(ValueError):
+        named_group("alternating", n)
+
+
+def test_full_group_on_one_and_two_points():
+    assert named_group("full", 1).order == 1
+    assert named_group("full", 2).order == 2
 
 
 # -- positivity ----------------------------------------------------------------
