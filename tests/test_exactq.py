@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from sigvol import exactq
+import sigvol
+
 from sigvol.exactq import (
     MatrixBuilder,
     SparseMatrixQ,
@@ -84,6 +88,13 @@ def test_nullspace_against_dense_oracle():
     for vec in ns.dense_basis():
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+    # random shapes, wide and tall, compared as canonical subspaces
+    rng = random.Random(17)
+    for _ in range(20):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+        rows = random_matrix(rng, nrows, ncols, 0.5)
+        expected = SubspaceQ.from_dense(dense_nullspace_oracle(rows, ncols), ncols)
+        assert nullspace(SparseMatrixQ.from_rows(rows)) == expected
 
 
 def test_rank_examples():
@@ -113,22 +124,6 @@ def test_nullspace_independent_of_row_order():
     a = nullspace(SparseMatrixQ.from_rows(rows))
     b = nullspace(SparseMatrixQ.from_rows(shuffled))
     assert a == b
-
-
-def test_modular_and_exact_paths_agree():
-    rng = random.Random(17)
-    saved = exactq.MODULAR_NNZ_THRESHOLD
-    try:
-        for _ in range(20):
-            nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
-            m = SparseMatrixQ.from_rows(random_matrix(rng, nrows, ncols, 0.5))
-            exactq.MODULAR_NNZ_THRESHOLD = 0
-            modular = nullspace(m)
-            exactq.MODULAR_NNZ_THRESHOLD = 10**9
-            exact = nullspace(m)
-            assert modular == exact
-    finally:
-        exactq.MODULAR_NNZ_THRESHOLD = saved
 
 
 def test_empty_matrix_gives_full_space():
@@ -222,37 +217,76 @@ def test_subspace_contains_and_reduce():
     assert s.contains_subspace(SubspaceQ.from_dense([[1, 1, 2]], 3))
 
 
-def test_modular_path_falls_back_when_primes_run_out(monkeypatch):
-    # with a single prime the huge kernel entries cannot be reconstructed,
-    # so the pure fraction-free path must take over transparently
-    rng = random.Random(37)
-    rows = [[qq(rng.randint(-(10**8), 10**8)) for _ in range(10)] for _ in range(7)]
-    m = SparseMatrixQ.from_rows(rows)
-    expected = nullspace(m)
-    monkeypatch.setattr(exactq, "_PRIMES", exactq._PRIMES[:1])
-    monkeypatch.setattr(exactq, "MODULAR_NNZ_THRESHOLD", 0)
-    assert nullspace(m) == expected
-
-
-def test_modular_path_with_large_entries_needs_several_primes():
-    # kernel entries here are ratios of large minors, so rational
-    # reconstruction only succeeds after accumulating several primes
+def test_nullspace_with_large_entries():
+    # kernel entries here are ratios of large minors
     rng = random.Random(29)
-    saved = exactq.MODULAR_NNZ_THRESHOLD
-    try:
-        for _ in range(5):
-            rows = [
-                [qq(rng.randint(-(10**8), 10**8)) for _ in range(12)] for _ in range(8)
-            ]
-            m = SparseMatrixQ.from_rows(rows)
-            exactq.MODULAR_NNZ_THRESHOLD = 0
-            modular = nullspace(m)
-            exactq.MODULAR_NNZ_THRESHOLD = 10**9
-            exact = nullspace(m)
-            assert modular == exact
-            assert modular.dim == 4
-            for vec in modular.dense_basis():
-                for row in rows:
-                    assert sum(a * b for a, b in zip(row, vec)) == 0
-    finally:
-        exactq.MODULAR_NNZ_THRESHOLD = saved
+    for _ in range(5):
+        rows = [[qq(rng.randint(-(10**8), 10**8)) for _ in range(12)] for _ in range(8)]
+        ns = nullspace(SparseMatrixQ.from_rows(rows))
+        assert ns.dim == 4
+        for vec in ns.dense_basis():
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+        assert ns == SubspaceQ.from_dense(dense_nullspace_oracle(rows, 12), 12)
+
+
+def sympy_cases(entry):
+    """Seeded (kind, dense rows) cases: wide, tall of full column rank, tall rank-deficient."""
+    for _ in range(4):
+        yield "wide", [[entry() for _ in range(11)] for _ in range(6)]
+        yield "tall full rank", [[entry() for _ in range(7)] for _ in range(40)]
+        # 30 x 8 of rank at most 5: a product of 30 x 5 and 5 x 8 factors
+        left = [[entry() for _ in range(5)] for _ in range(30)]
+        right = [[entry() for _ in range(8)] for _ in range(5)]
+        yield "tall rank-deficient", [
+            [sum((x * y for x, y in zip(row, col)), qq(0)) for col in zip(*right)] for row in left
+        ]
+
+
+@pytest.mark.parametrize("max_den", [1, 7], ids=["integer", "rational"])
+def test_nullspace_against_sympy(max_den):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41 + max_den)
+
+    def entry():
+        return qq(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < 0.7 else qq(0)
+
+    kinds = set()
+    for kind, rows in sympy_cases(entry):
+        ncols = len(rows[0])
+        sym = sympy.Matrix([[sympy.Rational(int(v.numerator), int(v.denominator)) for v in row]
+                            for row in rows])
+        vectors = [{i: qq(int(x.p), int(x.q)) for i, x in enumerate(vec) if x != 0}
+                   for vec in sym.nullspace()]
+        ns = nullspace(SparseMatrixQ.from_rows(rows))
+        assert ns == SubspaceQ(ncols, vectors), kind
+        kinds.add((kind, ns.dim))
+    # every kind is exercised as intended: full column rank and a real deficit both occur
+    assert ("tall full rank", 0) in kinds
+    assert ("tall rank-deficient", 3) in kinds
+    assert ("wide", 5) in kinds
+
+
+NO_NUMPY_PROBE = """
+import sys
+from sigvol.exactq import SparseMatrixQ, nullspace
+
+# 3000 x 50, 6000 nonzeros: multiples of e_j - e_(j+1), so the kernel is spanned by all-ones
+entries = {}
+for i in range(3000):
+    j, v = i % 49, i % 7 + 1
+    entries[(i, j)], entries[(i, j + 1)] = v, -v
+m = SparseMatrixQ(3000, 50, entries)
+assert m.nnz() > 5000
+ns = nullspace(m)
+assert ns.dim == 1 and len(ns.basis[0]) == 50
+print("numpy" in sys.modules)
+"""
+
+
+def test_nullspace_does_not_import_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sigvol.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
