@@ -88,7 +88,11 @@ def test_nullspace_against_dense_oracle():
     for vec in ns.dense_basis():
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
-    # random shapes, wide and tall, compared as canonical subspaces
+
+
+def test_modular_and_exact_paths_agree():
+    # the integer fraction-free path that replaced the modular one must give
+    # the same canonical subspace as rational Gauss-Jordan, wide and tall
     rng = random.Random(17)
     for _ in range(20):
         nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
