@@ -5,6 +5,12 @@ Everything in this package runs over the rationals with no rounding anywhere.
 otherwise); matrices are sparse maps and all public results are returned in a
 canonical reduced-echelon form so they compare bit-for-bit across runs.
 
+Sparse maps from keys to nonzero coefficients are the one data layout of the
+package.  `add_scaled` and `combine` form their linear combinations and
+`add_product` their bilinear products; `SparseTerms` gives the word and
+polynomial containers one shared addition, scaling, equality and grading;
+`signed_sum_text` and `signed_terms` print and tokenise their text forms.
+
 Every nullspace takes one path: each row is scaled to coprime integers,
 fraction-free elimination brings the rows to echelon form over the integers,
 back-substitution reads off one kernel vector per free column, and
@@ -14,6 +20,7 @@ back-substitution reads off one kernel vector per free column, and
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Mapping, Sequence
 
 try:
@@ -59,6 +66,110 @@ def combine(pairs: Iterable[tuple[object, Mapping]]) -> dict:
     out: dict = {}
     for factor, terms in pairs:
         add_scaled(out, factor, terms)
+    return out
+
+
+def add_product(out: dict, p: Mapping, q: Mapping) -> dict:
+    """Add the bilinear product of the sparse maps p and q into `out` in place.
+
+    Keys combine with ``+``: words concatenate and packed monomials multiply.
+    As in `add_scaled`, a key whose sum cancels is removed, and `out` is
+    returned.
+    """
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = k1 + k2
+            total = out.get(key, 0) + c1 * c2
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
+
+
+class SparseTerms:
+    """Linear structure shared by sparse maps from keys to nonzero rationals.
+
+    A subclass stores `terms` and provides `_shape()`, the leading
+    constructor arguments that two operands must share (``(d,)`` or
+    ``(d, n)``), and `_key_degree`, the degree of one key (``len`` for words,
+    ``sum`` for exponent tuples).  Every result is built as
+    ``type(self)(*self._shape(), terms)``, so the subclass constructor still
+    validates each key.
+    """
+
+    __slots__ = ()
+
+    def _check_shape(self, other: "SparseTerms") -> None:
+        if self._shape() != other._shape():
+            raise ValueError(f"{type(self).__name__} shape mismatch: {self._shape()} vs {other._shape()}")
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return type(self)(*self._shape(), add_scaled(dict(self.terms), 1, other.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(*self._shape(), {k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        s = qq(scalar)
+        return type(self)(*self._shape(), {k: c * s for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degrees(self) -> list[int]:
+        return sorted({self._key_degree(k) for k in self.terms})
+
+    def degree(self) -> int:
+        """Top degree (0 for the zero map)."""
+        return max(map(self._key_degree, self.terms), default=0)
+
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
+
+def signed_sum_text(items: Iterable[tuple[object, str]]) -> str:
+    """Render (coefficient, factor text) terms as a signed sum, or "0".
+
+    A coefficient of magnitude 1 is left out in front of a factor; an empty
+    factor text stands for a constant term: coefficients -1/2, -1 and 3 on
+    the factors "e", "12" and "21" render as ``-1/2*e - 12 + 3*21``.
+    """
+    parts: list[str] = []
+    for c, factor in items:
+        mag = abs(c)
+        body = (factor if mag == 1 else f"{mag}*{factor}") if factor else str(mag)
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
+def signed_terms(text: str) -> list[tuple[QQ, str]]:
+    """Split a signed sum into (sign, term text) pairs, ignoring whitespace.
+
+    The inverse of `signed_sum_text` up to the term texts: "" and "0" give
+    no terms, and each sign is Q1 or -Q1.
+    """
+    compact = "".join(text.split())
+    if compact in ("", "0"):
+        return []
+    out = []
+    for tok in re.findall(r"[+-]?[^+-]+", compact):
+        sign = -Q1 if tok[0] == "-" else Q1
+        out.append((sign, tok[1:] if tok[0] in "+-" else tok))
     return out
 
 

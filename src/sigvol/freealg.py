@@ -1,9 +1,11 @@
 """The free associative algebra on letters 1..d.
 
-Elements are sparse rational linear combinations of words.  The module
-provides the shuffle product, concatenation, the deconcatenation splittings,
-the antipode (signed word reversal), the signed-volume element, Lyndon word
-enumeration, and a plain-text notation with a round-tripping parser.
+Elements are sparse rational linear combinations of words; their linear
+structure and grading come from `exactq.SparseTerms`, and concatenation is
+`exactq.add_product` on words.  The module provides the shuffle product,
+concatenation, the deconcatenation splittings, the antipode (signed word
+reversal), the signed-volume element, Lyndon word enumeration, and a
+plain-text notation with a round-tripping parser.
 
 Antipode sign convention: a word w maps to (-1)**len(w) times its reversal.
 This is the unique convention adjoint to path time reversal, i.e. the one
@@ -15,18 +17,21 @@ from __future__ import annotations
 
 import re
 from itertools import permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .exactq import QQ, Q0, Q1, add_scaled, combine, qq
+from .exactq import (
+    QQ, Q1, SparseTerms, add_product, add_scaled, combine, qq, signed_sum_text, signed_terms,
+)
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 
 
-class TensorElement:
+class TensorElement(SparseTerms):
     """Sparse rational combination of words over the alphabet {1, ..., d}."""
 
     __slots__ = ("d", "terms")
+    _key_degree = len
 
     def __init__(self, d: int, terms: Mapping[Word, QQ] | None = None):
         if d < 1:
@@ -56,55 +61,16 @@ class TensorElement:
     def from_word(cls, d: int, word: Iterable[int], coeff=1) -> "TensorElement":
         return cls(d, {tuple(word): qq(coeff)})
 
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_alphabet(other)
-        return TensorElement(self.d, add_scaled(dict(self.terms), 1, other.terms))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.d, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "TensorElement":
-        s = qq(scalar)
-        if s == 0:
-            return TensorElement.zero(self.d)
-        return TensorElement(self.d, {w: c * s for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.d == other.d
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _shape(self) -> tuple[int]:
+        return (self.d,)
 
     # -- grading -----------------------------------------------------------
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self) -> int:
-        """Top degree (0 for the zero element)."""
-        return max((len(w) for w in self.terms), default=0)
 
     def homogeneous_part(self, k: int) -> "TensorElement":
         return TensorElement(self.d, {w: c for w, c in self.terms.items() if len(w) == k})
 
     def graded_parts(self) -> dict[int, "TensorElement"]:
         return {k: self.homogeneous_part(k) for k in self.degrees()}
-
-    def _check_alphabet(self, other: "TensorElement") -> None:
-        if self.d != other.d:
-            raise ValueError(f"alphabet mismatch: {self.d} vs {other.d}")
 
     def __repr__(self) -> str:
         return f"TensorElement(d={self.d}, {element_to_text(self)!r})"
@@ -114,37 +80,30 @@ class TensorElement:
 # word-level products
 # ---------------------------------------------------------------------------
 
-_shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
-
-
-def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
+def _shuffle_words(u: Word, v: Word, memo: dict) -> dict[Word, int]:
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
     if v < u:
         u, v = v, u
-    cached = _shuffle_cache.get((u, v))
+    cached = memo.get((u, v))
     if cached is not None:
         return cached
-    out: dict[Word, int] = {}
-    for w, m in _shuffle_words(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + m
-    for w, m in _shuffle_words(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + m
-    _shuffle_cache[(u, v)] = out
+    out = {(u[0],) + w: m for w, m in _shuffle_words(u[1:], v, memo).items()}
+    add_scaled(out, 1, {(v[0],) + w: m for w, m in _shuffle_words(u, v[1:], memo).items()})
+    memo[(u, v)] = out
     return out
 
 
 def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     """Shuffle product: the sum of all interleavings, extended bilinearly."""
-    x._check_alphabet(y)
+    x._check_shape(y)
+    memo: dict[tuple[Word, Word], dict[Word, int]] = {}  # per call, so no module state grows
     out: dict[Word, QQ] = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            add_scaled(out, cu * cv, _shuffle_words(u, v))
+            add_scaled(out, cu * cv, _shuffle_words(u, v, memo))
     return TensorElement(x.d, out)
 
 
@@ -159,17 +118,8 @@ def shuffle_power(x: TensorElement, k: int) -> TensorElement:
 
 def concat(x: TensorElement, y: TensorElement) -> TensorElement:
     """Concatenation product: bilinear juxtaposition of words."""
-    x._check_alphabet(y)
-    out: dict[Word, QQ] = {}
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            w = u + v
-            nc = out.get(w, Q0) + cu * cv
-            if nc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = nc
-    return TensorElement(x.d, out)
+    x._check_shape(y)
+    return TensorElement(x.d, add_product({}, x.terms, y.terms))
 
 
 def deconcat_pairs(w: Word) -> list[tuple[Word, Word]]:
@@ -194,9 +144,14 @@ def timerev_project(x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
+def permutation_sign(seq: Sequence[int]) -> int:
+    """The sign of a sequence of distinct values: (-1) ** (its inversion count)."""
+    odd = False
+    for i, a in enumerate(seq):
+        for b in seq[:i]:
+            if b > a:
+                odd = not odd
+    return -1 if odd else 1
 
 
 def volume_element(d: int, letters: Iterable[int] | None = None) -> TensorElement:
@@ -216,7 +171,7 @@ def volume_element(d: int, letters: Iterable[int] | None = None) -> TensorElemen
     terms: dict[Word, QQ] = {}
     for perm in permutations(range(len(chosen))):
         word = tuple(chosen[p] for p in perm)
-        terms[word] = QQ(_perm_sign(perm))
+        terms[word] = QQ(permutation_sign(perm))
     return TensorElement(d, terms)
 
 
@@ -251,37 +206,18 @@ def element_to_text(x: TensorElement) -> str:
     """Canonical text form: terms sorted by degree then lexicographically."""
     if x.d > 9:
         raise ValueError("text notation renders letters as digits (d <= 9)")
-    if not x.terms:
-        return "0"
-    parts: list[str] = []
-    for w in sorted(x.terms, key=lambda w: (len(w), w)):
-        c = x.terms[w]
-        word = "".join(str(l) for l in w) if w else "e"
-        mag = abs(c)
-        body = word if mag == 1 and w else (f"{mag}*{word}" if w or mag != 1 else "e")
-        if not w and mag == 1:
-            body = "e"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return signed_sum_text(
+        (x.terms[w], "".join(map(str, w)) or "e") for w in sorted(x.terms, key=lambda w: (len(w), w))
+    )
 
 
 def parse_element(text: str, d: int | None = None) -> TensorElement:
     """Parse the text notation; whitespace-insensitive, inverse of printing."""
-    compact = "".join(text.split())
-    if compact in ("", "0"):
+    tokens = signed_terms(text)
+    if not tokens:
         return TensorElement.zero(d or 1)
-    tokens = re.findall(r"[+-]?[^+-]+", compact)
     raw: list[tuple[QQ, Word]] = []
-    for tok in tokens:
-        sign = Q1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign = -Q1
-            tok = tok[1:]
+    for sign, tok in tokens:
         m = _TERM_RE.match(tok)
         if not m:
             raise ValueError(f"cannot parse term {tok!r}")

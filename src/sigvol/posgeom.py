@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .exactq import QQ, Q1, det_q, qq
-from .freealg import volume_element
+from .freealg import permutation_sign, volume_element
 from .sigpoly import PLPath, pair, pl_signature
 
 BRUTE_FORCE_LIMIT = 9
@@ -79,13 +79,7 @@ class Permutation:
         return Permutation(imgs)
 
     def sign(self) -> int:
-        inv = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inv % 2 else 1
+        return permutation_sign(self.images)
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.n + 1))
@@ -223,15 +217,6 @@ def moment_curve_instance(d: int, n: int, params: Sequence) -> CyclicInstance:
 # ---------------------------------------------------------------------------
 
 
-def _even_inversions(seq: Sequence[int]) -> bool:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv % 2 == 0
-
-
 def stabilizes_positivity(perm: Permutation, d: int) -> bool:
     """Combinatorial membership test, independent of any concrete instance.
 
@@ -245,7 +230,7 @@ def stabilizes_positivity(perm: Permutation, d: int) -> bool:
         raise ValueError("need n >= d+1")
     images = perm.images
     for subset in combinations(range(n), d + 1):
-        if not _even_inversions([images[i] for i in subset]):
+        if permutation_sign([images[i] for i in subset]) < 0:
             return False
     return True
 
@@ -257,15 +242,11 @@ def stabilizer_bruteforce(d: int, n: int) -> PermGroup:
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is guarded at n <= {BRUTE_FORCE_LIMIT}")
     subsets = list(combinations(range(n), d + 1))
-    elements = []
-    for images in permutations(range(1, n + 1)):
-        ok = True
-        for subset in subsets:
-            if not _even_inversions([images[i] for i in subset]):
-                ok = False
-                break
-        if ok:
-            elements.append(Permutation(images))
+    elements = [
+        Permutation(images)
+        for images in permutations(range(1, n + 1))
+        if all(permutation_sign([images[i] for i in subset]) > 0 for subset in subsets)
+    ]
     group = PermGroup(n, elements, [], "bruteforce")
     group.generators = group.minimal_generators()
     return group

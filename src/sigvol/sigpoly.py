@@ -3,7 +3,9 @@
 A piecewise linear path is an ordered list of rational control points.  Its
 truncated signature is computed segment by segment (each segment contributes
 the exponential-type series with coefficient 1/k! on a word of length k) and
-multiplied together with the concatenation (Chen) product.
+multiplied together with the concatenation (Chen) product, which groups the
+terms of both factors by word length and multiplies only the pairs of
+lengths that fit the truncation.
 
 The same computation carried out symbolically yields, for every word, the
 polynomial in the increment variables a[s][i] (segment s, coordinate i) that
@@ -30,7 +32,8 @@ are plain ``dict[int, coefficient]``; the solvers in `invariants` and
 solve.  `IncrementPolynomial` (exponent tuples, QQ coefficients) is the
 public type, converted to and from only at the edges: `word_poly`,
 `element_poly`, `LinearSubstitution.apply`, `signature_polynomial` and the
-text functions.
+text functions.  It shares addition, scaling, equality and grading with
+`TensorElement` through `exactq.SparseTerms`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ import re
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .exactq import QQ, Q0, Q1, add_scaled, combine, qq
+from .exactq import (
+    QQ, Q0, Q1, SparseTerms, add_product, add_scaled, combine, qq, signed_sum_text, signed_terms,
+)
 from .freealg import EMPTY_WORD, TensorElement, Word
 
 Monomial = tuple[int, ...]
@@ -174,18 +179,21 @@ def chen_product(s: TruncatedSignature, t: TruncatedSignature) -> TruncatedSigna
     """Concatenation product: coefficients convolve over prefix/suffix splits."""
     if (s.d, s.maxdeg) != (t.d, t.maxdeg):
         raise ValueError("signatures must share alphabet and truncation degree")
+    # one product per pair of degrees that fits the truncation
+    s_parts, t_parts = _by_length(s.terms), _by_length(t.terms)
     terms: dict[Word, QQ] = {}
-    for u, cu in s.terms.items():
-        for v, cv in t.terms.items():
-            if len(u) + len(v) > s.maxdeg:
-                continue
-            w = u + v
-            nc = terms.get(w, Q0) + cu * cv
-            if nc == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = nc
+    for i, s_part in s_parts.items():
+        for j, t_part in t_parts.items():
+            if i + j <= s.maxdeg:
+                add_product(terms, s_part, t_part)
     return TruncatedSignature(s.d, s.maxdeg, terms)
+
+
+def _by_length(terms: Mapping[Word, QQ]) -> dict[int, dict[Word, QQ]]:
+    parts: dict[int, dict[Word, QQ]] = {}
+    for w, c in terms.items():
+        parts.setdefault(len(w), {})[w] = c
+    return parts
 
 
 def pl_signature(path: PLPath, maxdeg: int) -> TruncatedSignature:
@@ -217,7 +225,7 @@ def pair(sig: TruncatedSignature, x: TensorElement) -> QQ:
 # ---------------------------------------------------------------------------
 
 
-class IncrementPolynomial:
+class IncrementPolynomial(SparseTerms):
     """Sparse polynomial in the increment variables a[s][i], exact coefficients.
 
     Variables are indexed by segment s = 1..n-1 and coordinate i = 1..d; a
@@ -225,6 +233,7 @@ class IncrementPolynomial:
     """
 
     __slots__ = ("d", "n", "terms")
+    _key_degree = sum
 
     def __init__(self, d: int, n: int, terms: Mapping[Monomial, QQ] | None = None):
         if d < 1 or n < 1:
@@ -232,11 +241,10 @@ class IncrementPolynomial:
         self.d = d
         self.n = n
         self.terms: dict[Monomial, QQ] = {}
-        nvars = (n - 1) * d
         if terms:
             for m, c in terms.items():
                 c = QQ(c)
-                if len(m) != nvars:
+                if len(m) != self.nvars:
                     raise ValueError("monomial length does not match the variable count")
                 if c != 0:
                     self.terms[m] = c
@@ -255,54 +263,17 @@ class IncrementPolynomial:
         mono[(s - 1) * d + (i - 1)] = 1
         return cls(d, n, {tuple(mono): Q1})
 
-    def _check(self, other: "IncrementPolynomial") -> None:
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("polynomials live over different variable sets")
-
-    def __add__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        self._check(other)
-        return IncrementPolynomial(self.d, self.n, add_scaled(dict(self.terms), 1, other.terms))
-
-    def __sub__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "IncrementPolynomial":
-        return IncrementPolynomial(self.d, self.n, {m: -c for m, c in self.terms.items()})
+    def _shape(self) -> tuple[int, int]:
+        return (self.d, self.n)
 
     def __mul__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        self._check(other)
-        out: dict[Monomial, QQ] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                nc = out.get(m, Q0) + c1 * c2
-                if nc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        return IncrementPolynomial(self.d, self.n, out)
-
-    def scale(self, scalar) -> "IncrementPolynomial":
-        s = qq(scalar)
-        if s == 0:
-            return IncrementPolynomial(self.d, self.n)
-        return IncrementPolynomial(self.d, self.n, {m: c * s for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IncrementPolynomial)
-            and (self.d, self.n) == (other.d, other.n)
-            and self.terms == other.terms
+        # exponent tuples add entrywise, so each term of self shifts other's monomials
+        self._check_shape(other)
+        shifted = (
+            (c1, {tuple(a + b for a, b in zip(m1, m2)): c2 for m2, c2 in other.terms.items()})
+            for m1, c1 in self.terms.items()
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(m) for m in self.terms}) <= 1
+        return IncrementPolynomial(self.d, self.n, combine(shifted))
 
     def evaluate(self, increments: Sequence[Sequence]) -> QQ:
         """Evaluate at concrete increment vectors (one per segment)."""
@@ -353,19 +324,6 @@ def _pack(mono: Monomial) -> int:
 
 def _unpack(packed: int, nvars: int) -> Monomial:
     return tuple((packed >> (FIELD_BITS * var)) & MAX_DEGREE for var in range(nvars))
-
-
-def _packed_mul(p: Packed, q: Packed) -> Packed:
-    out: Packed = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = m1 + m2
-            nc = out.get(m, 0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
 
 
 def integral_coefficients(elements: Sequence[TensorElement]) -> tuple[list[dict[Word, int]], int]:
@@ -507,7 +465,7 @@ class LinearSubstitution:
         if e == 1:
             result = combine((coeff, {_unit(target): 1}) for target, coeff in self.forms[var])
         else:
-            result = _packed_mul(self._power(var, e - 1), self._power(var, 1))
+            result = add_product({}, self._power(var, e - 1), self._power(var, 1))
         self._pow_cache[key] = result
         return result
 
@@ -518,7 +476,7 @@ class LinearSubstitution:
         result: Packed = {0: 1}
         for var, e in enumerate(_unpack(mono, self._nvars_in)):
             if e:
-                result = _packed_mul(result, self._power(var, e))
+                result = add_product({}, result, self._power(var, e))
         self._mono_cache[mono] = result
         return result
 
@@ -633,30 +591,16 @@ _POLY_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?((?:\*?a\[\d+\]\[\d+\](?:\^\d+)?)*)
 
 def _render(terms: Mapping[Monomial, QQ], d: int, name: str) -> str:
     # monomials in graded order then by exponents; variable idx is name[idx//d+1][idx%d+1]
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for mono in sorted(terms, key=lambda m: (sum(m), tuple(-e for e in m))):
-        c = terms[mono]
-        factors = []
+    def factors(mono: Monomial) -> str:
+        out = []
         for idx, e in enumerate(mono):
-            if not e:
-                continue
-            s, i = divmod(idx, d)
-            var = f"{name}[{s + 1}][{i + 1}]"
-            factors.append(var if e == 1 else f"{var}^{e}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{mag}*" + "*".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            if e:
+                var = f"{name}[{idx // d + 1}][{idx % d + 1}]"
+                out.append(var if e == 1 else f"{var}^{e}")
+        return "*".join(out)
+
+    ordered = sorted(terms, key=lambda m: (sum(m), tuple(-e for e in m)))
+    return signed_sum_text((terms[mono], factors(mono)) for mono in ordered)
 
 
 def polynomial_to_text(p: IncrementPolynomial) -> str:
@@ -683,18 +627,9 @@ def polynomial_to_x_text(p: IncrementPolynomial) -> str:
 
 def parse_polynomial(text: str, d: int, n: int) -> IncrementPolynomial:
     """Parse the polynomial text notation (whitespace-insensitive)."""
-    compact = "".join(text.split())
-    if compact in ("", "0"):
-        return IncrementPolynomial(d, n)
     nvars = (n - 1) * d
     terms: dict[Monomial, QQ] = {}
-    for tok in re.findall(r"[+-]?[^+-]+", compact):
-        sign = Q1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign = -Q1
-            tok = tok[1:]
+    for sign, tok in signed_terms(text):
         m = _POLY_TERM_RE.match(tok)
         if not m:
             raise ValueError(f"cannot parse monomial {tok!r}")

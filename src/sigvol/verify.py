@@ -399,15 +399,8 @@ def run_all(only: list[int] | None = None, progress=None) -> list[dict]:
             progress(f"[{num:2d}] {description} ...")
         start = time.time()
         ok, detail = fn(cache)
-        results.append(
-            {
-                "criterion": num,
-                "description": description,
-                "pass": ok,
-                "detail": detail,
-                "seconds": round(time.time() - start, 1),
-            }
-        )
+        results.append({"criterion": num, "description": description, "pass": ok, "detail": detail})
         if progress:
-            progress(f"[{num:2d}] {'PASS' if ok else 'FAIL'} ({results[-1]['seconds']}s) {detail}")
+            seconds = round(time.time() - start, 1)
+            progress(f"[{num:2d}] {'PASS' if ok else 'FAIL'} ({seconds}s) {detail}")
     return results

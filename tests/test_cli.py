@@ -183,6 +183,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_reproduce_paper_stdout_has_no_timing(capsys):
+    code, data = run_json(capsys, ["reproduce-paper", "--only", "3"])
+    assert code == 0
+    assert [sorted(r) for r in data] == [["criterion", "description", "detail", "pass"]]
+    assert run(["--format", "text", "reproduce-paper", "--only", "3"]) == 0
+    assert capsys.readouterr().out == f"PASS   3  {data[0]['description']}\n"
+
+
 def test_python_dash_m_entry_point():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sigvol.__file__)))
     proc = subprocess.run(

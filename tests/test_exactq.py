@@ -11,6 +11,7 @@ from sigvol.exactq import (
     MatrixBuilder,
     SparseMatrixQ,
     SubspaceQ,
+    add_product,
     add_scaled,
     combine,
     det_q,
@@ -170,6 +171,15 @@ def test_add_scaled_works_in_place_and_drops_cancelled_keys():
     assert out == {"b": qq(1, 2), "c": -6}
     add_scaled(out, qq(3, 4), {"b": qq(-2, 3), "c": 8})
     assert out == {}
+
+
+def test_add_product_works_in_place_and_drops_cancelled_keys():
+    out = {(1, 2): 3, (5,): 1}
+    result = add_product(out, {(1,): 1}, {(2,): -3, (1, 2): qq(1, 2)})
+    assert result is out
+    assert out == {(5,): 1, (1, 1, 2): qq(1, 2)}
+    # packed monomials are ints, so their keys multiply by adding
+    assert add_product({}, {1: 2, 256: 1}, {1: 3, 256: -2}) == {2: 6, 257: -1, 512: -2}
 
 
 def test_combine_mixes_int_and_rational_factors():

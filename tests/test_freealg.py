@@ -1,8 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import sigvol.freealg
 from sigvol.exactq import qq
 from sigvol.freealg import (
     TensorElement,
@@ -13,6 +14,7 @@ from sigvol.freealg import (
     lyndon_words,
     parse_element,
     parse_fixture_blocks,
+    permutation_sign,
     shuffle,
     shuffle_power,
     timerev_project,
@@ -86,8 +88,30 @@ def test_shuffle_commutative_associative():
 
 
 def test_shuffle_alphabet_mismatch():
-    with pytest.raises(ValueError):
-        shuffle(word_el(2, 1), word_el(3, 1))
+    x, y = word_el(2, 1), word_el(3, 1)
+    for op in (shuffle, concat, TensorElement.__add__, TensorElement.__sub__):
+        with pytest.raises(ValueError):
+            op(x, y)
+
+
+def test_shuffle_keeps_no_module_state():
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(sigvol.freealg).items()
+            if isinstance(value, (dict, list)) and not name.startswith("__")
+        }
+
+    before = sizes()
+    rng = random.Random(41)
+    pairs = set()
+    while len(pairs) < 200:
+        u = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        v = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        pairs.add((u, v))
+    for u, v in sorted(pairs):
+        shuffle(word_el(3, *u), word_el(3, *v))
+    assert sizes() == before
 
 
 def test_shuffle_grading():
@@ -232,6 +256,23 @@ def test_volume_element_errors():
         volume_element(3, (1, 2, 5))
 
 
+def test_permutation_sign_against_cycle_parity():
+    for perm in permutations(range(5)):
+        seen, cycles = set(), 0
+        for start in range(5):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        assert permutation_sign(perm) == (-1) ** (5 - cycles)
+    # any distinct values, not only 0..n-1
+    assert permutation_sign([10, 3, 7]) == 1
+    assert permutation_sign([7, 3, 10]) == -1
+    assert permutation_sign([]) == 1
+
+
 def test_lyndon_words_small():
     assert lyndon_words(2, 1) == [(1,), (2,)]
     assert lyndon_words(2, 2) == [(1, 2)]
@@ -269,6 +310,7 @@ def test_parse_and_print_examples():
     assert element_to_text(TensorElement.zero(2)) == "0"
     assert element_to_text(TensorElement.unit(2)) == "e"
     assert parse_element("3*e + 12", 2).terms[()] == 3
+    assert element_to_text(parse_element("3*21 - 12 - 1/2*e", 2)) == "-1/2*e - 12 + 3*21"
 
 
 def test_parse_whitespace_insensitive():

@@ -1,16 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from sigvol.exactq import qq
-from sigvol.freealg import TensorElement, antipode, parse_element, shuffle, volume_element
+from sigvol.freealg import TensorElement, antipode, concat, parse_element, shuffle, volume_element
 from sigvol.sigpoly import (
     MAX_DEGREE,
     IncrementPolynomial,
     PLPath,
     SigPolyCalculator,
+    TruncatedSignature,
     chen_product,
     closure_substitution,
     pair,
@@ -54,6 +56,35 @@ def test_chen_unit():
     s = pl_signature(PENTAGON, 2)
     assert chen_product(s, trivial_signature(2, 2)) == s
     assert chen_product(trivial_signature(2, 2), s) == s
+    for other in (trivial_signature(2, 3), trivial_signature(3, 2)):
+        with pytest.raises(ValueError):
+            chen_product(s, other)
+
+
+def random_signature(rng, d, maxdeg):
+    """Random terms on a random subset of the degrees 1..maxdeg."""
+    degrees = rng.sample(range(1, maxdeg + 1), rng.randint(0, maxdeg))
+    terms = {}
+    for k in degrees:
+        for _ in range(rng.randint(1, 4)):
+            terms[tuple(rng.randint(1, d) for _ in range(k))] = qq(rng.randint(-5, 5), rng.randint(1, 4))
+    return TruncatedSignature(d, maxdeg, terms)
+
+
+def test_chen_product_is_truncated_concatenation():
+    rng = random.Random(73)
+    gaps = 0
+    for maxdeg in range(6):
+        for _ in range(10):
+            d = rng.choice([1, 2, 3])
+            s, t = random_signature(rng, d, maxdeg), random_signature(rng, d, maxdeg)
+            for a, b in ((s, t), (t, s)):
+                full = concat(TensorElement(d, a.terms), TensorElement(d, b.terms))
+                expected = {w: c for w, c in full.terms.items() if len(w) <= maxdeg}
+                assert chen_product(a, b).terms == expected
+            profile = {len(w) for w in s.terms}
+            gaps += profile != set(range(max(profile) + 1))
+    assert gaps > 0
 
 
 def test_chen_hand_example():
@@ -270,8 +301,10 @@ def test_polynomial_arithmetic():
     assert prod.degree() == 2
     assert (a + b) - b == a
     assert a.scale(0).is_zero()
-    with pytest.raises(ValueError):
-        a + IncrementPolynomial.variable(2, 4, 1, 1)
+    other = IncrementPolynomial.variable(2, 4, 1, 1)
+    for op in (IncrementPolynomial.__add__, IncrementPolynomial.__sub__, IncrementPolynomial.__mul__):
+        with pytest.raises(ValueError):
+            op(a, other)
 
 
 def test_polynomial_text_round_trip():
@@ -291,6 +324,8 @@ def test_polynomial_text_examples():
     assert poly.degree() == 5
     assert polynomial_to_text(poly) == "-3*a[1][3]^3*a[2][2]*a[3][1]"
     assert parse_polynomial("0", 2, 2).is_zero()
+    poly = parse_polynomial("-a[1][1]*a[2][2] + a[1][1] - 3/2", 2, 3)
+    assert polynomial_to_text(poly) == "-3/2 + a[1][1] - a[1][1]*a[2][2]"
 
 
 def test_point_coordinate_rendering():
@@ -304,6 +339,37 @@ def test_point_coordinate_rendering():
     assert polynomial_to_x_text(IncrementPolynomial(2, 3)) == "0"
     # displacement: x2 - x1 in the first coordinate
     assert polynomial_to_x_text(signature_polynomial((1,), 2, d=2)) == "-x[1][1] + x[2][1]"
+
+
+def test_signature_polynomial_against_sympy_iterated_integrals():
+    """Each coefficient as iterated integrals of the piecewise-constant derivative.
+
+    On segment s the path moves as a[s] * tau for tau in [0, 1], so the
+    integral over a word's prefix is a polynomial in tau on each segment, and
+    the value at the end of a segment starts the next one.
+    """
+    sympy = pytest.importorskip("sympy")
+    d = 2
+    tau = sympy.Symbol("tau")
+    for n in (2, 3, 4):
+        a = [[sympy.Symbol(f"a_{s}_{i}") for i in range(1, d + 1)] for s in range(1, n)]
+        for k in range(1, 4):
+            for word in product(range(1, d + 1), repeat=k):
+                pieces = [sympy.Integer(1)] * (n - 1)
+                for letter in word:
+                    start, integrated = sympy.Integer(0), []
+                    for s, piece in enumerate(pieces):
+                        integrated.append(start + sympy.integrate(piece * a[s][letter - 1], (tau, 0, tau)))
+                        start = integrated[-1].subs(tau, 1)
+                    pieces = integrated
+                expected = sympy.expand(pieces[-1].subs(tau, 1))
+                poly = signature_polynomial(word, n, d=d)
+                got = sympy.expand(sum(
+                    sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(a[idx // d][idx % d] ** e for idx, e in enumerate(mono)))
+                    for mono, c in poly.terms.items()
+                ))
+                assert got == expected, (n, word)
 
 
 def test_path_validation():
