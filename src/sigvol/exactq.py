@@ -11,10 +11,13 @@ package.  `add_scaled` and `combine` form their linear combinations and
 polynomial containers one shared addition, scaling, equality and grading;
 `signed_sum_text` and `signed_terms` print and tokenise their text forms.
 
-Every nullspace takes one path: each row is scaled to coprime integers,
-fraction-free elimination brings the rows to echelon form over the integers,
-back-substitution reads off one kernel vector per free column, and
-`SubspaceQ` puts that basis in canonical form.
+Every canonical subspace comes from one elimination, `_rref_int`: each row
+is scaled to coprime integers, fraction-free elimination brings the rows to
+echelon form over the integers, and one back-reduction pass clears each
+pivot column from the rows above it.  `rref_rows` divides each reduced row by
+its lead.  `nullspace` numbers the columns last-first, so each free column
+reads off, with one division per entry, the basis vector of the kernel
+that leads at that column: the canonical basis, with no further elimination.
 """
 
 from __future__ import annotations
@@ -333,26 +336,8 @@ class SubspaceQ:
 
 def rref_rows(rows: Iterable[Mapping[int, QQ]]) -> list[dict[int, QQ]]:
     """Reduced echelon form of a list of sparse rows over QQ."""
-    pivots: dict[int, dict[int, QQ]] = {}
-    for row in rows:
-        r = {c: QQ(v) for c, v in row.items() if v != 0}
-        # pivot rows carry no other pivot columns, so one pass clears them all
-        for c in sorted(c for c in r if c in pivots):
-            f = r.get(c)
-            if f:
-                add_scaled(r, -f, pivots[c])
-        if not r:
-            continue
-        lead = min(r)
-        inv = Q1 / r[lead]
-        r = {c: v * inv for c, v in r.items()}
-        # clear the new pivot column from the existing rows
-        for other in pivots.values():
-            f = other.get(lead)
-            if f:
-                add_scaled(other, -f, r)
-        pivots[lead] = r
-    return [pivots[c] for c in sorted(pivots)]
+    pivots = _rref_int([_integerize_row({c: v for c, v in row.items() if v}) for row in rows])
+    return [{c: QQ(v, row[lead]) for c, v in row.items()} for lead, row in sorted(pivots.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +347,8 @@ def rref_rows(rows: Iterable[Mapping[int, QQ]]) -> list[dict[int, QQ]]:
 
 def _integerize_row(row: Mapping[int, QQ]) -> dict[int, int]:
     """Scale a sparse rational row to coprime integers (sign preserved)."""
-    if not row:
-        return {}
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // math.gcd(den, int(v.denominator))
-    ints = {c: int(v.numerator) * (den // int(v.denominator)) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    den = math.lcm(*(int(v.denominator) for v in row.values()))
+    return _strip_content({c: int(v.numerator) * (den // int(v.denominator)) for c, v in row.items()})
 
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
@@ -387,16 +362,16 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _echelon_int(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
+def _echelon_int(rows: list[dict[int, int]], ncols: int | None) -> dict[int, dict[int, int]]:
     """Forward elimination over the integers, fraction-free.
 
     Rows are combined as ``piv[lead]*r - r[lead]*piv`` with the gcd content
-    stripped afterwards, so no rational arithmetic happens until
-    back-substitution.  Rows are taken shortest first (they make cheaper
-    pivots), by a stable sort on length alone: the pivots depend on the
-    order, but the kernel they give, once canonical, does not.  Elimination
-    stops as soon as every one of the `ncols` columns has a pivot, because
-    the kernel is then {0} whatever the remaining rows are.
+    stripped afterwards, so no rational arithmetic happens at all.  Rows are
+    taken shortest first (they make cheaper pivots), by a stable sort on
+    length alone: the pivots depend on the order, but their reduced echelon
+    form does not.  Given `ncols`, elimination stops as soon as every one of
+    the `ncols` columns has a pivot, because the rows then span the whole
+    space whatever the remaining rows are.
     """
     pivots: dict[int, dict[int, int]] = {}
     for r in sorted(rows, key=len):
@@ -415,27 +390,23 @@ def _echelon_int(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, 
     return pivots
 
 
-def _kernel_from_echelon(pivots: dict[int, dict[int, int]], ncols: int) -> list[dict[int, QQ]]:
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    piv_cols_desc = sorted(pivots, reverse=True)
-    for f in free_cols:
-        vec: dict[int, QQ] = {f: Q1}
-        for lead in piv_cols_desc:
-            if lead > f:
-                continue
-            row = pivots[lead]
-            acc = Q0
-            for c, v in row.items():
-                if c == lead:
-                    continue
-                x = vec.get(c)
-                if x is not None:
-                    acc += QQ(v) * x
-            if acc != 0:
-                vec[lead] = -acc / QQ(row[lead])
-        basis.append(vec)
-    return basis
+def _rref_int(rows: list[dict[int, int]], ncols: int | None = None) -> dict[int, dict[int, int]]:
+    """Reduced echelon form over the integers, fraction-free, keyed by lead column.
+
+    `_echelon_int` brings the rows to echelon form; one pass then clears each
+    pivot column from the pivot rows above it, bottom row first, so every
+    row it clears with is already reduced and adds nothing in another pivot
+    column.  Each row comes out as the primitive integer multiple, with a
+    positive lead, of its row of the rational reduced echelon form.
+    """
+    pivots = _echelon_int(rows, ncols)
+    for lead in sorted(pivots, reverse=True):
+        r = pivots[lead]
+        for c in [c for c in r if c != lead and c in pivots]:
+            piv = pivots[c]
+            r = _strip_content(add_scaled({k: piv[c] * v for k, v in r.items()}, -r[c], piv))
+        pivots[lead] = r
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +422,18 @@ MODULAR_NNZ_THRESHOLD = math.inf
 
 def nullspace(matrix: SparseMatrixQ) -> SubspaceQ:
     """Exact basis of {v : Mv = 0}, in canonical reduced echelon form."""
-    rows = [_integerize_row(r) for r in matrix.rows_as_dicts()]
-    pivots = _echelon_int(rows, matrix.ncols)
-    return SubspaceQ(matrix.ncols, _kernel_from_echelon(pivots, matrix.ncols))
+    # with the columns numbered last-first, the reduced rows R give each free
+    # column f the kernel vector {f: 1, p: -R[p][f]/R[p][p]}; every such p is
+    # numbered before f, so lies after it: the canonical vector leading at f
+    last = matrix.ncols - 1
+    rows = [_integerize_row({last - c: v for c, v in r.items()}) for r in matrix.rows_as_dicts()]
+    pivots = _rref_int(rows, matrix.ncols)
+    basis = {last - f: {last - f: Q1} for f in range(matrix.ncols) if f not in pivots}
+    for p, row in pivots.items():
+        for c, v in row.items():
+            if c != p:
+                basis[last - c][last - p] = QQ(-v, row[p])
+    return SubspaceQ(matrix.ncols, [basis[f] for f in sorted(basis)], _canonical=True)
 
 
 def rank(matrix: SparseMatrixQ) -> int:

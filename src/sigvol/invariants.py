@@ -31,7 +31,7 @@ from itertools import product
 from typing import Callable
 
 from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, intersect, nullspace
-from .freealg import TensorElement, Word, shuffle_power, volume_element
+from .freealg import TensorElement, Word, antipode, shuffle_power, volume_element
 from .posgeom import PermGroup, stabilizer_structural
 from .sigpoly import SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution
 
@@ -139,13 +139,9 @@ def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
 
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     """Degree-k elements that every n-point path signature annihilates."""
-    words = words_of_degree(d, k)
     calc = SigPolyCalculator(d, n)
-    builder = MatrixBuilder(len(words))
     # every column carries the same factor k!, which leaves the kernel alone
-    for c, w in enumerate(words):
-        builder.add_column(c, calc._poly(1, w))
-    space = nullspace(builder.build())
+    space = _solve([{w: 1} for w in words_of_degree(d, k)], lambda row: [calc.combination(row)])
     return GradedBasis.from_space(d, k, space, n=n, group_tag="kernel")
 
 
@@ -168,12 +164,10 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
 
 def timerev_space(d: int, k: int) -> GradedBasis:
     """Fixed space of the antipode on degree-k words."""
-    words = words_of_degree(d, k)
-    sign = 1 if k % 2 == 0 else -1
-    builder = MatrixBuilder(len(words))
-    for c, w in enumerate(words):
-        builder.add_column(c, add_scaled({w[::-1]: sign}, -1, {w: 1}))
-    space = nullspace(builder.build())
+    space = _solve(
+        [{w: 1} for w in words_of_degree(d, k)],
+        lambda row: [add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)],
+    )
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .exactq import (
@@ -55,10 +54,6 @@ Packed = dict[int, object]
 
 FIELD_BITS = 8
 MAX_DEGREE = (1 << FIELD_BITS) - 1
-
-
-def _factorial_inv(k: int) -> QQ:
-    return Q1 / QQ(math.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +160,11 @@ def segment_signature(a: Sequence, maxdeg: int, d: int | None = None) -> Truncat
         raise ValueError("increment length does not match d")
     support = [i + 1 for i, c in enumerate(vec) if c != 0]
     terms: dict[Word, QQ] = {}
+    level: dict[Word, QQ] = {EMPTY_WORD: Q1}
     for k in range(1, maxdeg + 1):
-        fk = _factorial_inv(k)
-        for word in product(support, repeat=k):
-            c = fk
-            for letter in word:
-                c *= vec[letter - 1]
-            terms[word] = c
+        # one factor a_i / k extends a length-(k-1) word's coefficient to w + (i,)
+        level = {w + (i,): c * vec[i - 1] / k for w, c in level.items() for i in support}
+        terms.update(level)
     return TruncatedSignature(d, maxdeg, terms)
 
 

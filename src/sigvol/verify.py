@@ -17,7 +17,7 @@ import time
 from itertools import permutations as _iperms
 
 from . import fixtures
-from .exactq import MatrixBuilder, nullspace, qq
+from .exactq import SubspaceQ, qq
 from .freealg import (
     TensorElement,
     antipode,
@@ -178,10 +178,8 @@ def check_planar_loop_invariant(cache: dict) -> tuple[bool, str]:
     area_cubed = shuffle_power(volume_element(2), 3)
     words = words_of_degree(2, 6)
     index = {w: i for i, w in enumerate(words)}
-    builder = MatrixBuilder(2)
-    builder.add_column(0, {index[w]: c for w, c in loop.terms.items()})
-    builder.add_column(1, {index[w]: c for w, c in area_cubed.terms.items()})
-    independent = nullspace(builder.build()).dim == 0
+    vectors = [{index[w]: c for w, c in x.terms.items()} for x in (loop, area_cubed)]
+    independent = SubspaceQ(len(words), vectors).dim == 2
     return member and independent, f"loop-closure member={member}, independent of cubed signed area={independent}"
 
 

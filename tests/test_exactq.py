@@ -19,12 +19,16 @@ from sigvol.exactq import (
     nullspace,
     qq,
     rank,
+    rref_rows,
     sum_spaces,
 )
 
 
-def dense_nullspace_oracle(rows, ncols):
-    """Naive dense Gaussian elimination over QQ, written independently."""
+def dense_rref_oracle(rows, ncols):
+    """Naive dense Gauss-Jordan over QQ, written independently.
+
+    Returns the nonzero rows of the reduced echelon form and their pivot columns.
+    """
     m = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -45,6 +49,12 @@ def dense_nullspace_oracle(rows, ncols):
                 m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
         pivots.append(c)
         r += 1
+    return m[:r], pivots
+
+
+def dense_nullspace_oracle(rows, ncols):
+    """Kernel basis read off the dense reduced echelon form, one vector per free column."""
+    m, pivots = dense_rref_oracle(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -100,6 +110,33 @@ def test_modular_and_exact_paths_agree():
         rows = random_matrix(rng, nrows, ncols, 0.5)
         expected = SubspaceQ.from_dense(dense_nullspace_oracle(rows, ncols), ncols)
         assert nullspace(SparseMatrixQ.from_rows(rows)) == expected
+
+
+def test_rref_rows_against_dense_oracle():
+    # zero rows, repeated rows and negative leads all occur among the inputs
+    rng = random.Random(31)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = random_matrix(rng, nrows, ncols, 0.5)
+        rows.append([qq(0)] * ncols)
+        rows.insert(rng.randrange(len(rows)), list(rows[rng.randrange(len(rows))]))
+        rows.append([-v for v in rows[0]])
+        rng.shuffle(rows)
+        reduced, _ = dense_rref_oracle(rows, ncols)
+        expected = [{c: v for c, v in enumerate(row) if v != 0} for row in reduced]
+        assert rref_rows({c: v for c, v in enumerate(row) if v != 0} for row in rows) == expected
+
+
+def test_nullspace_basis_is_canonical():
+    # a read-off right in span but not in reduced echelon form fails here
+    rng = random.Random(37)
+
+    def entry():
+        return qq(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.6 else qq(0)
+
+    for kind, rows in sympy_cases(entry):
+        ns = nullspace(SparseMatrixQ.from_rows(rows))
+        assert ns.basis == SubspaceQ(len(rows[0]), ns.basis).basis, kind
 
 
 def test_rank_examples():

@@ -45,6 +45,22 @@ def test_segment_signature_product_formula():
     assert sig.coeff(()) == 1
     assert sig.coeff((1,)) == 1
     assert sig.coeff((2, 2)) == 2
+    # every word's coefficient is the product of its letters' increments over k!
+    rng = random.Random(43)
+    for d, maxdeg in product(range(1, 5), range(1, 7)):
+        a = [qq(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)) for _ in range(d)]
+        # and a zero entry half the time
+        if rng.random() < 0.5:
+            a[rng.randrange(d)] = qq(0)
+        expected = {(): qq(1)}
+        for k in range(1, maxdeg + 1):
+            for word in product(range(1, d + 1), repeat=k):
+                c = qq(1, math.factorial(k))
+                for letter in word:
+                    c *= a[letter - 1]
+                if c != 0:
+                    expected[word] = c
+        assert segment_signature(a, maxdeg).terms == expected
 
 
 def test_segment_signature_zero_increment():
