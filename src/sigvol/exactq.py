@@ -10,6 +10,9 @@ package.  `add_scaled` and `combine` form their linear combinations and
 `add_product` their bilinear products; `SparseTerms` gives the word and
 polynomial containers one shared addition, scaling, equality and grading;
 `signed_sum_text` and `signed_terms` print and tokenise their text forms.
+A `SparseMatrixQ` is a list of such maps, one per row (column index to
+entry); `MatrixBuilder.build` writes its columns straight into those rows,
+and `nullspace` eliminates them as they are.
 
 Every canonical subspace comes from one elimination, `_rref_int`: each row
 is scaled to coprime integers, fraction-free elimination brings the rows to
@@ -182,53 +185,41 @@ def signed_terms(text: str) -> list[tuple[QQ, str]]:
 
 
 class SparseMatrixQ:
-    """Sparse matrix over QQ; no zero entries are ever stored.
+    """Sparse matrix over QQ, stored as one sparse row map per row.
 
-    Integer entries stay Python ints (the solvers build integer matrices);
-    every other entry is coerced to QQ.
+    `rows[r]` maps column indices to the nonzero entries of row r; no zero is
+    ever stored.  Integer entries stay Python ints (the solvers build integer
+    matrices); every other entry is coerced to QQ.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, entries: Mapping[tuple[int, int], QQ] | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], QQ] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise ValueError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
-                if type(v) is not int:
-                    v = QQ(v)
-                if v != 0:
-                    self.entries[(r, c)] = v
+        self.rows: list[dict[int, QQ]] = [{} for _ in range(nrows)]
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
+            if type(v) is not int:
+                v = QQ(v)
+            if v != 0:
+                self.rows[r][c] = v
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[QQ]]) -> "SparseMatrixQ":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v != 0:
-                    entries[(r, c)] = QQ(v)
-        return cls(nrows, ncols, entries)
-
-    def rows_as_dicts(self) -> list[dict[int, QQ]]:
-        rows: list[dict[int, QQ]] = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        entries = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v != 0}
+        return cls(len(rows), len(rows[0]) if rows else 0, entries)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.rows))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrixQ)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
@@ -251,13 +242,15 @@ class MatrixBuilder:
         add_scaled(self._cols[col_index], 1, entries)
 
     def build(self) -> SparseMatrixQ:
+        """The matrix with one row per row key, in sorted key order."""
         keys = sorted(set().union(*self._cols))
         index = {key: i for i, key in enumerate(keys)}
-        entries = {}
+        # add_scaled stores no zeros, so the entries go straight into the rows
+        matrix = SparseMatrixQ(len(keys), self.ncols)
         for c, col in enumerate(self._cols):
             for key, v in col.items():
-                entries[(index[key], c)] = v
-        return SparseMatrixQ(len(keys), self.ncols, entries)
+                matrix.rows[index[key]][c] = v
+        return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +338,12 @@ def rref_rows(rows: Iterable[Mapping[int, QQ]]) -> list[dict[int, QQ]]:
 # ---------------------------------------------------------------------------
 
 
-def _integerize_row(row: Mapping[int, QQ]) -> dict[int, int]:
+def _integerize_row(row: dict[int, QQ]) -> dict[int, int]:
     """Scale a sparse rational row to coprime integers (sign preserved)."""
+    if all(type(v) is int for v in row.values()):
+        return _strip_content(row)
     den = math.lcm(*(int(v.denominator) for v in row.values()))
-    return _strip_content({c: int(v.numerator) * (den // int(v.denominator)) for c, v in row.items()})
+    return _strip_content({c: int(v * den) for c, v in row.items()})
 
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
@@ -426,7 +421,7 @@ def nullspace(matrix: SparseMatrixQ) -> SubspaceQ:
     # column f the kernel vector {f: 1, p: -R[p][f]/R[p][p]}; every such p is
     # numbered before f, so lies after it: the canonical vector leading at f
     last = matrix.ncols - 1
-    rows = [_integerize_row({last - c: v for c, v in r.items()}) for r in matrix.rows_as_dicts()]
+    rows = [_integerize_row({last - c: v for c, v in r.items()}) for r in matrix.rows]
     pivots = _rref_int(rows, matrix.ncols)
     basis = {last - f: {last - f: Q1} for f in range(matrix.ncols) if f not in pivots}
     for p, row in pivots.items():

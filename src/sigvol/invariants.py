@@ -21,7 +21,9 @@ The subspaces on offer:
 
 Raw dimensions of ``invariant_space`` include the full kernel (the zero
 polynomial is invariant under anything), so counts of "visibly distinct"
-invariants are reported as image dimensions via ``dim_image``.
+invariants are reported as image dimensions via ``dim_image``: the rank of
+the matrix whose columns are the basis elements' n-point polynomials, found
+by one nullspace with one column per basis element.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, intersect, nullspace
+from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace
 from .freealg import TensorElement, Word, antipode, shuffle_power, volume_element
 from .posgeom import PermGroup, stabilizer_structural
 from .sigpoly import SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution
@@ -154,20 +156,21 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
     if group.n != n:
         raise ValueError("group acts on the wrong number of points")
     words = words_of_degree(d, k)
-    generators = [g for g in group.generators if not g.is_identity()]
-    if not generators:
+    if not group.generators:
         space = SubspaceQ.full(len(words))
     else:
-        space = _solve([{w: 1} for w in words], _group_conditions(d, n, generators))
+        space = _solve([{w: 1} for w in words], _group_conditions(d, n, group.generators))
     return GradedBasis.from_space(d, k, space, n=n, group_tag=group.structure_tag)
+
+
+def _timerev_condition(d: int, row: dict[Word, int]) -> dict:
+    """Antipode minus original of a word combination: zero when it is time-reversal fixed."""
+    return add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)
 
 
 def timerev_space(d: int, k: int) -> GradedBasis:
     """Fixed space of the antipode on degree-k words."""
-    space = _solve(
-        [{w: 1} for w in words_of_degree(d, k)],
-        lambda row: [add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)],
-    )
+    space = _solve([{w: 1} for w in words_of_degree(d, k)], lambda row: [_timerev_condition(d, row)])
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
 
@@ -211,31 +214,29 @@ def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasi
 # ---------------------------------------------------------------------------
 
 
-def _refine_by_group(basis: GradedBasis, n: int, group: PermGroup) -> GradedBasis:
-    """Cut a graded basis down by the invariance conditions of one group.
+def _refine(basis: GradedBasis, conditions) -> GradedBasis:
+    """Cut a graded basis down to the combinations of its elements that meet the conditions.
 
     The conditions are imposed on the current basis elements rather than on
     all words, which keeps the solve at (current dimension) many columns.
     """
-    generators = [g for g in group.generators if not g.is_identity()]
-    if not generators or basis.dim == 0:
+    if basis.dim == 0:
         return basis
-    d, k = basis.d, basis.k
     rows, _ = integral_coefficients(basis.elements)
-    solutions = _solve(rows, _group_conditions(d, n, generators))
+    solutions = _solve(rows, conditions)
     old_rows = basis.space.basis
     vectors = [combine((lam, old_rows[j]) for j, lam in sol.items()) for sol in solutions.basis]
     space = SubspaceQ(basis.space.ambient_dim, vectors)
-    return GradedBasis.from_space(d, k, space, n=basis.n, group_tag=basis.group_tag)
+    return GradedBasis.from_space(basis.d, basis.k, space, n=basis.n, group_tag=basis.group_tag)
 
 
 def inv_d_space(d: int, k: int) -> GradedBasis:
     """Degree-k elements invariant for every number of control points.
 
     The piece shared by all point counts >= d+3 is determined by the parity
-    of d (time reversal, loop closure, their intersection, or no condition);
-    the finitely many remaining conditions (n = d+1 and n = d+2) are then
-    imposed on that piece.
+    of d (time reversal, loop closure, loop closure cut down by time
+    reversal, or no condition); the finitely many remaining conditions
+    (n = d+1 and n = d+2) are then imposed on that piece.
     """
     if d % 2 == 1:
         if ((d + 1) // 2) % 2 == 0:
@@ -243,17 +244,14 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
         else:
             base = GradedBasis.from_space(d, k, SubspaceQ.full(d**k))
     else:
+        base = loopclosure_space(d, k)
         if (d // 2) % 2 == 0:
-            lc = loopclosure_space(d, k)
-            tr = timerev_space(d, k)
-            base = GradedBasis.from_space(d, k, intersect(lc.space, tr.space))
-        else:
-            base = loopclosure_space(d, k)
+            base = _refine(base, lambda row: [_timerev_condition(d, row)])
     base.group_tag = "volume-invariants"
     for n in (d + 1, d + 2):
-        base = _refine_by_group(base, n, stabilizer_structural(d, n))
-        base.group_tag = "volume-invariants"
-    base.n = None
+        generators = stabilizer_structural(d, n).generators
+        if generators:
+            base = _refine(base, _group_conditions(d, n, generators))
     return base
 
 
@@ -266,21 +264,20 @@ def is_invariant(x: TensorElement, d: int, n: int) -> bool:
     """Whether the signature polynomial of x on n points is stabilizer-fixed."""
     if x.d != d:
         raise ValueError("alphabet mismatch")
-    generators = [g for g in stabilizer_structural(d, n).generators if not g.is_identity()]
     # each graded part comes out scaled by its own positive factor; substitutions
     # keep degrees, so invariance of the scaled parts is invariance of x
     (coeffs,), _ = integral_coefficients([x])
-    return not any(_group_conditions(d, n, generators)(coeffs))
+    return not any(_group_conditions(d, n, stabilizer_structural(d, n).generators)(coeffs))
 
 
 def dim_image(basis: GradedBasis, n: int) -> int:
     """Dimension of the image of the basis span under the n-point map."""
     if basis.dim == 0:
         return 0
-    kernel = kernel_space(basis.d, n, basis.k)
-    if kernel.dim == 0:
-        return basis.dim
-    return basis.dim - intersect(basis.space, kernel.space).dim
+    # the rank of the basis elements' polynomial columns
+    calc = SigPolyCalculator(basis.d, n)
+    rows, _ = integral_coefficients(basis.elements)
+    return basis.dim - _solve(rows, lambda row: [calc.combination(row)]).dim
 
 
 def conjecture_evidence(d: int, k: int) -> dict:

@@ -98,33 +98,32 @@ class Permutation:
 
 
 class PermGroup:
-    """Explicit finite subgroup of S_n with a chosen generator list."""
+    """Explicit finite subgroup of S_n with a chosen generator list (the identity dropped)."""
 
     __slots__ = ("n", "elements", "generators", "structure_tag")
 
     def __init__(self, n: int, elements: Iterable[Permutation], generators: Iterable[Permutation], structure_tag: str):
         self.n = n
         self.elements = sorted(set(elements))
-        self.generators = list(generators)
+        self.generators = [g for g in generators if not g.is_identity()]
         self.structure_tag = structure_tag
         if Permutation.identity(n) not in set(self.elements):
             raise ValueError("a group must contain the identity")
 
     @classmethod
     def generated(cls, n: int, generators: Sequence[Permutation], structure_tag: str) -> "PermGroup":
-        gens = [g for g in generators if not g.is_identity()]
         seen = {Permutation.identity(n)}
         frontier = list(seen)
         while frontier:
             nxt = []
             for g in frontier:
-                for h in gens:
+                for h in generators:
                     e = h.compose(g)
                     if e not in seen:
                         seen.add(e)
                         nxt.append(e)
             frontier = nxt
-        return cls(n, seen, gens, structure_tag)
+        return cls(n, seen, generators, structure_tag)
 
     @property
     def order(self) -> int:

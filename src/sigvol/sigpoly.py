@@ -123,7 +123,8 @@ class TruncatedSignature:
         self.terms: dict[Word, QQ] = {EMPTY_WORD: Q1}
         if terms:
             for w, c in terms.items():
-                c = QQ(c)
+                if type(c) is not QQ:
+                    c = QQ(c)
                 if len(w) > maxdeg:
                     raise ValueError("coefficient beyond truncation degree")
                 if c != 0:

@@ -227,6 +227,22 @@ def test_combine_mixes_int_and_rational_factors():
     assert combine([]) == {}
 
 
+def test_sparse_matrix_rows():
+    with pytest.raises(ValueError):
+        SparseMatrixQ(2, 3, {(0, 3): 1})
+    with pytest.raises(ValueError):
+        SparseMatrixQ(2, 3, {(-1, 0): 1})
+    m = SparseMatrixQ(2, 3, {(0, 0): 2, (0, 2): qq(0), (1, 1): qq(-1, 2), (1, 2): 0})
+    assert m.rows == [{0: 2}, {1: qq(-1, 2)}]
+    assert m.nnz() == 2
+    assert SparseMatrixQ.from_rows([[2, 0, 0], [0, qq(-1, 2), 0]]) == m
+    builder = MatrixBuilder(3)
+    builder.add_column(1, {"b": qq(-1, 2)})
+    builder.add_column(0, {"a": 2, "b": 1})
+    builder.add_column(0, {"b": -1})  # cancels to no entry
+    assert builder.build() == m
+
+
 def test_matrix_builder_streaming_columns():
     builder = MatrixBuilder(3)
     builder.add_column(0, {"m1": qq(1), "m2": qq(2)})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigvol import fixtures
+from sigvol import fixtures, invariants
 from sigvol.exactq import SubspaceQ, intersect, qq
 from sigvol.freealg import (
     TensorElement,
@@ -120,6 +120,19 @@ def test_dim_image_of_volume_span():
     assert dim_image(basis, 4) == 1
 
 
+def test_dim_image_against_kernel_intersection():
+    # the image dimension is the span's dimension less that of its meet with
+    # the whole kernel; (3,4,5), (3,4,6) and (3,5,6) meet a nonzero kernel
+    cases = [(3, 4, k) for k in range(1, 7)] + [(2, 5, k) for k in range(1, 7)] + [(3, 5, 6)]
+    dropped = 0
+    for d, n, k in cases:
+        basis = invariant_space(d, n, k, stabilizer_structural(d, n))
+        expected = basis.dim - intersect(basis.space, kernel_space(d, n, k).space).dim
+        assert dim_image(basis, n) == expected, (d, n, k)
+        dropped += expected < basis.dim
+    assert dropped == 3
+
+
 # -- time reversal ------------------------------------------------------------------
 
 
@@ -232,14 +245,23 @@ def test_inv_d_contains_volume_element():
 
 def test_inv_d_planar_matches_direct_intersection():
     # cross-check the refinement implementation against the literal
-    # three-way intersection for d = 2 (loop closure + two stabilizers)
-    for k in (1, 2, 3):
-        fast = inv_d_space(2, k)
-        lc = loopclosure_space(2, k)
-        inv3 = invariant_space(2, 3, k, stabilizer_structural(2, 3))
-        inv4 = invariant_space(2, 4, k, stabilizer_structural(2, 4))
-        direct = intersect(intersect(lc.space, inv3.space), inv4.space)
-        assert fast.space == direct
+    # intersections: loop closure and two stabilizers for d = 2, and for
+    # d = 4 (d = 0 mod 4) time reversal as well
+    for d, ks in ((2, (1, 2, 3)), (4, (1, 2, 3, 4))):
+        for k in ks:
+            direct = loopclosure_space(d, k).space
+            if d % 4 == 0:
+                direct = intersect(direct, timerev_space(d, k).space)
+            for n in (d + 1, d + 2):
+                direct = intersect(direct, invariant_space(d, n, k, stabilizer_structural(d, n)).space)
+            assert inv_d_space(d, k).space == direct, (d, k)
+    # for d = 4 the stabilizers already force time reversal at these degrees;
+    # with trivial stabilizers the base piece itself, lc ∩ tr, is compared
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "stabilizer_structural", lambda d, n: PermGroup.generated(n, [], "trivial"))
+        for k in (1, 2, 3, 4):
+            direct = intersect(loopclosure_space(4, k).space, timerev_space(4, k).space)
+            assert inv_d_space(4, k).space == direct, k
 
 
 def test_inv_d_planar_contains_shuffle_square():

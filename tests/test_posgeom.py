@@ -53,6 +53,11 @@ def test_group_generation_and_json():
     assert "elements" in data  # small group ships its element list
 
 
+def test_identity_is_not_a_generator():
+    rot = Permutation((2, 3, 4, 5, 1))
+    assert PermGroup.generated(5, [Permutation.identity(5), rot], "Z/n").generators == [rot]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_named_group_orders(n):
     orders = {"trivial": 1, "cyclic": n, "dihedral": 2 * n, "full": math.factorial(n)}
