@@ -57,6 +57,7 @@ from .sigpoly import (
     pair,
     pl_signature,
     polynomial_to_text,
+    polynomial_to_x_text,
     signature_polynomial,
 )
 
@@ -119,14 +120,8 @@ def _group_for(name: str, d: int, n: int) -> PermGroup:
     return named_group(name, n)
 
 
-def _emit(data, fmt: str, text_render=None) -> None:
-    if fmt == "json":
-        print(json.dumps(data))
-    else:
-        if text_render is None:
-            print(json.dumps(data, indent=2))
-        else:
-            print(text_render(data))
+def _emit(data, fmt: str, text_render) -> None:
+    print(json.dumps(data) if fmt == "json" else text_render(data))
 
 
 def _space_output(basis, fmt: str, with_image: int | None = None) -> None:
@@ -317,8 +312,6 @@ def _dispatch(args) -> int:
         _check_polynomial_degree(x)
         poly = signature_polynomial(x, args.n)
         if args.coords == "points":
-            from .sigpoly import polynomial_to_x_text
-
             rendered = polynomial_to_x_text(poly)
         else:
             rendered = polynomial_to_text(poly)

@@ -452,9 +452,11 @@ def intersect(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
     for j, row in enumerate(b.basis):
         builder.add_column(da + j, {c: -v for c, v in row.items()})
     ns = nullspace(builder.build())
-    # lift each solution through its a-part; rref_rows drops empty rows
+    # lift each solution through its a-part, where its lead lies (b's basis is
+    # independent): a reduced-echelon kernel lifted through a's reduced-echelon
+    # basis is reduced echelon again, so no second elimination runs
     vectors = [combine((lam, a.basis[j]) for j, lam in sol.items() if j < da) for sol in ns.basis]
-    return SubspaceQ(a.ambient_dim, vectors)
+    return SubspaceQ(a.ambient_dim, vectors, _canonical=True)
 
 
 def sum_spaces(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:

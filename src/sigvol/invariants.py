@@ -16,8 +16,10 @@ The subspaces on offer:
 * ``loopclosure_space``- elements whose signature value survives closing the
   path into a loop on either side;
 * ``inv_d_space``      - elements invariant for every number of control
-  points at once, assembled from the three pieces above according to the
-  parity of d.
+  points at once: all the conditions above that d calls for.
+
+Each space is one cut-down chain, `_cut`: the full degree-k space cut down
+by each of its conditions in turn.
 
 Raw dimensions of ``invariant_space`` include the full kernel (the zero
 polynomial is invariant under anything), so counts of "visibly distinct"
@@ -29,13 +31,16 @@ by one nullspace with one column per basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable
 
 from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace
-from .freealg import TensorElement, Word, antipode, shuffle_power, volume_element
+from .freealg import TensorElement, Word, antipode, element_to_text, shuffle_power, volume_element
 from .posgeom import PermGroup, stabilizer_structural
-from .sigpoly import SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution
+from .sigpoly import (
+    FIELD_BITS, SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution,
+)
 
 
 def words_of_degree(d: int, k: int) -> list[Word]:
@@ -79,8 +84,6 @@ class GradedBasis:
         return self.space.contains(self.coordinate_vector(x))
 
     def to_json(self, dim_image: int | None = None) -> dict:
-        from .freealg import element_to_text
-
         data: dict = {"d": self.d}
         if self.n is not None:
             data["n"] = self.n
@@ -113,13 +116,14 @@ def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]],
 
 def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict]]:
     """Per side: closed minus open packed polynomial of a word combination on m segments."""
-    calc_small = SigPolyCalculator(d, m + 1)
-    calc_big = SigPolyCalculator(d, m + 2)
+    calc = SigPolyCalculator(d, m + 2)
     substitutions = [closure_substitution(d, m, "right"), closure_substitution(d, m, "left")]
+    # the open polynomial is the (m+1)-segment one with its last segment set to 0
+    open_bound = 1 << (FIELD_BITS * m * d)
 
     def conditions(coeffs: dict[Word, int]) -> list[dict]:
-        small = calc_small.combination(coeffs)
-        big = calc_big.combination(coeffs)
+        big = calc.combination(coeffs)
+        small = {mono: c for mono, c in big.items() if mono < open_bound}
         return [add_scaled(sub.apply_packed(big), -1, small) for sub in substitutions]
 
     return conditions
@@ -139,11 +143,33 @@ def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
     return nullspace(builder.build())
 
 
+def _cut(d: int, k: int, conditions) -> SubspaceQ:
+    """The degree-k elements that meet every condition, cut down one condition at a time.
+
+    Each condition is solved over the current basis, one column per basis
+    element, so it solves at the dimension the conditions before it left.
+    The kernel lifts back through that basis with no second elimination: a
+    reduced-echelon kernel vector lambda, lifted through a reduced-echelon
+    basis, has entry lambda_j at the j-th old pivot and nothing before the
+    old pivot of its own lead, so the lifts are reduced echelon again.
+    """
+    words = words_of_degree(d, k)
+    space = SubspaceQ.full(len(words))
+    for condition in conditions:
+        if space.dim == 0:
+            break
+        rows, _ = integral_coefficients([{words[c]: v for c, v in row.items()} for row in space.basis])
+        solutions = _solve(rows, condition)
+        vectors = [combine((lam, space.basis[j]) for j, lam in sol.items()) for sol in solutions.basis]
+        space = SubspaceQ(space.ambient_dim, vectors, _canonical=True)
+    return space
+
+
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     """Degree-k elements that every n-point path signature annihilates."""
     calc = SigPolyCalculator(d, n)
     # every column carries the same factor k!, which leaves the kernel alone
-    space = _solve([{w: 1} for w in words_of_degree(d, k)], lambda row: [calc.combination(row)])
+    space = _cut(d, k, [lambda row: [calc.combination(row)]])
     return GradedBasis.from_space(d, k, space, n=n, group_tag="kernel")
 
 
@@ -155,22 +181,18 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
     """
     if group.n != n:
         raise ValueError("group acts on the wrong number of points")
-    words = words_of_degree(d, k)
-    if not group.generators:
-        space = SubspaceQ.full(len(words))
-    else:
-        space = _solve([{w: 1} for w in words], _group_conditions(d, n, group.generators))
-    return GradedBasis.from_space(d, k, space, n=n, group_tag=group.structure_tag)
+    conditions = [_group_conditions(d, n, group.generators)] if group.generators else []
+    return GradedBasis.from_space(d, k, _cut(d, k, conditions), n=n, group_tag=group.structure_tag)
 
 
-def _timerev_condition(d: int, row: dict[Word, int]) -> dict:
+def _timerev_conditions(d: int) -> Callable[[dict[Word, int]], list[dict]]:
     """Antipode minus original of a word combination: zero when it is time-reversal fixed."""
-    return add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)
+    return lambda row: [add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)]
 
 
 def timerev_space(d: int, k: int) -> GradedBasis:
     """Fixed space of the antipode on degree-k words."""
-    space = _solve([{w: 1} for w in words_of_degree(d, k)], lambda row: [_timerev_condition(d, row)])
+    space = _cut(d, k, [_timerev_conditions(d)])
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
 
@@ -184,7 +206,7 @@ def loopclosure_membership(x: TensorElement, segments: int | None = None) -> boo
         if k == 0:
             continue
         m = segments if segments is not None else k
-        (coeffs,), _ = integral_coefficients([part])
+        (coeffs,), _ = integral_coefficients([part.terms])
         if any(_closure_conditions(x.d, m)(coeffs)):
             return False
     return True
@@ -195,17 +217,14 @@ def loopclosure_combinations(elements: list[TensorElement], segments: int) -> Su
 
     The coordinates of the returned subspace are coefficients on `elements`.
     """
-    rows, _ = integral_coefficients(elements)
+    rows, _ = integral_coefficients([x.terms for x in elements])
     return _solve(rows, _closure_conditions(elements[0].d, segments))
 
 
 def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasis:
     """Degree-k elements stable under left and right loop closure."""
-    words = words_of_degree(d, k)
-    if k == 0:
-        return GradedBasis.from_space(d, k, SubspaceQ.full(1), group_tag="loopclosure")
     m = segments if segments is not None else k
-    space = _solve([{w: 1} for w in words], _closure_conditions(d, m))
+    space = _cut(d, k, [_closure_conditions(d, m)])
     return GradedBasis.from_space(d, k, space, group_tag="loopclosure")
 
 
@@ -214,45 +233,27 @@ def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasi
 # ---------------------------------------------------------------------------
 
 
-def _refine(basis: GradedBasis, conditions) -> GradedBasis:
-    """Cut a graded basis down to the combinations of its elements that meet the conditions.
-
-    The conditions are imposed on the current basis elements rather than on
-    all words, which keeps the solve at (current dimension) many columns.
-    """
-    if basis.dim == 0:
-        return basis
-    rows, _ = integral_coefficients(basis.elements)
-    solutions = _solve(rows, conditions)
-    old_rows = basis.space.basis
-    vectors = [combine((lam, old_rows[j]) for j, lam in sol.items()) for sol in solutions.basis]
-    space = SubspaceQ(basis.space.ambient_dim, vectors)
-    return GradedBasis.from_space(basis.d, basis.k, space, n=basis.n, group_tag=basis.group_tag)
-
-
 def inv_d_space(d: int, k: int) -> GradedBasis:
     """Degree-k elements invariant for every number of control points.
 
-    The piece shared by all point counts >= d+3 is determined by the parity
-    of d (time reversal, loop closure, loop closure cut down by time
-    reversal, or no condition); the finitely many remaining conditions
-    (n = d+1 and n = d+2) are then imposed on that piece.
+    The conditions shared by all point counts >= d+3 depend on d mod 4: time
+    reversal when d = 0 or 3 (mod 4) and loop closure (on k+2 points) when d
+    is even.  The stabilizers of n = d+1 and n = d+2 points remain.  The chain
+    imposes all of these cheapest first, by point count (time reversal: 0), so
+    the costly solves run over what the cheap ones leave, and builds each
+    only when it gets there, so one calculator memo is alive at a time.
     """
-    if d % 2 == 1:
-        if ((d + 1) // 2) % 2 == 0:
-            base = timerev_space(d, k)
-        else:
-            base = GradedBasis.from_space(d, k, SubspaceQ.full(d**k))
-    else:
-        base = loopclosure_space(d, k)
-        if (d // 2) % 2 == 0:
-            base = _refine(base, lambda row: [_timerev_condition(d, row)])
-    base.group_tag = "volume-invariants"
+    builders = []
+    if d % 4 in (0, 3):
+        builders.append((0, partial(_timerev_conditions, d)))
+    if d % 2 == 0:
+        builders.append((k + 2, partial(_closure_conditions, d, k)))
     for n in (d + 1, d + 2):
         generators = stabilizer_structural(d, n).generators
         if generators:
-            base = _refine(base, _group_conditions(d, n, generators))
-    return base
+            builders.append((n, partial(_group_conditions, d, n, generators)))
+    space = _cut(d, k, (build() for _, build in sorted(builders, key=lambda pair: pair[0])))
+    return GradedBasis.from_space(d, k, space, group_tag="volume-invariants")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def is_invariant(x: TensorElement, d: int, n: int) -> bool:
         raise ValueError("alphabet mismatch")
     # each graded part comes out scaled by its own positive factor; substitutions
     # keep degrees, so invariance of the scaled parts is invariance of x
-    (coeffs,), _ = integral_coefficients([x])
+    (coeffs,), _ = integral_coefficients([x.terms])
     return not any(_group_conditions(d, n, stabilizer_structural(d, n).generators)(coeffs))
 
 
@@ -276,7 +277,7 @@ def dim_image(basis: GradedBasis, n: int) -> int:
         return 0
     # the rank of the basis elements' polynomial columns
     calc = SigPolyCalculator(basis.d, n)
-    rows, _ = integral_coefficients(basis.elements)
+    rows, _ = integral_coefficients([x.terms for x in basis.elements])
     return basis.dim - _solve(rows, lambda row: [calc.combination(row)]).dim
 
 

@@ -320,19 +320,20 @@ def _unpack(packed: int, nvars: int) -> Monomial:
     return tuple((packed >> (FIELD_BITS * var)) & MAX_DEGREE for var in range(nvars))
 
 
-def integral_coefficients(elements: Sequence[TensorElement]) -> tuple[list[dict[Word, int]], int]:
-    """Word coefficients of the elements times their common denominator D, and D.
+def integral_coefficients(maps: Sequence[Mapping[Word, QQ]]) -> tuple[list[dict[Word, int]], int]:
+    """Word coefficients of the maps times their common denominator D, and D.
 
+    Each map sends words to rational coefficients (an element's `terms`).
     Solvers scale all their columns by this one D: scaling every column of
     a matrix alike keeps its kernel, scaling columns apart would not.
     """
     den = 1
-    for x in elements:
-        for c in x.terms.values():
+    for terms in maps:
+        for c in terms.values():
             den = math.lcm(den, int(c.denominator))
     rows = [
-        {w: int(c.numerator) * (den // int(c.denominator)) for w, c in x.terms.items()}
-        for x in elements
+        {w: int(c.numerator) * (den // int(c.denominator)) for w, c in terms.items()}
+        for terms in maps
     ]
     return rows, den
 
@@ -408,7 +409,7 @@ class SigPolyCalculator:
     def element_poly(self, x: TensorElement) -> IncrementPolynomial:
         if x.d != self.d:
             raise ValueError("alphabet mismatch")
-        (coeffs,), den = integral_coefficients([x])
+        (coeffs,), den = integral_coefficients([x.terms])
         return self._to_polynomial(self.combination(coeffs), den)
 
 

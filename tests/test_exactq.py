@@ -192,6 +192,8 @@ def test_intersect_random_against_stacked_constraint_oracle():
         a = SubspaceQ.from_dense(random_matrix(rng, 3, 5, 0.8), 5)
         b = SubspaceQ.from_dense(random_matrix(rng, 3, 5, 0.8), 5)
         inter = intersect(a, b)
+        # the lifted basis is already canonical: re-eliminating changes nothing
+        assert SubspaceQ(inter.ambient_dim, inter.basis) == inter
         # oracle: x in both spans iff x is killed by both orthogonal row systems;
         # check via dim formula and explicit containment
         assert inter.dim == a.dim + b.dim - sum_spaces(a, b).dim

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sigvol import fixtures, invariants
-from sigvol.exactq import SubspaceQ, intersect, qq
+from sigvol.exactq import SparseMatrixQ, SubspaceQ, intersect, nullspace, qq
 from sigvol.freealg import (
     TensorElement,
     antipode,
@@ -26,7 +26,7 @@ from sigvol.invariants import (
     words_of_degree,
 )
 from sigvol.posgeom import PermGroup, Permutation, stabilizer_structural
-from sigvol.sigpoly import signature_polynomial
+from sigvol.sigpoly import PLPath, pair, pl_signature, signature_polynomial
 
 
 # -- invariant spaces -----------------------------------------------------------
@@ -95,8 +95,6 @@ def test_kernel_one_dimensional_alphabet():
 def test_kernel_vanishing_on_concrete_paths():
     rng = random.Random(2)
     ker = kernel_space(2, 3, 3)
-    from sigvol.sigpoly import PLPath, pair, pl_signature
-
     for element in ker.elements:
         for _ in range(5):
             pts = [tuple(qq(rng.randint(-4, 4)) for _ in range(2)) for _ in range(3)]
@@ -214,6 +212,34 @@ def test_loopclosure_segment_override_matches():
     assert a.space == b.space
 
 
+def test_loopclosure_degree_zero_is_constants():
+    for d in (1, 2, 3):
+        assert loopclosure_space(d, 0).space == SubspaceQ.full(1)
+
+
+def test_loopclosure_space_matches_concrete_closed_paths():
+    # implementation-independent oracle: every basis element pairs with a
+    # concrete open path of m segments exactly as with that path closed into
+    # a loop on either side (the first point appended, or the last prepended);
+    # and with enough random paths, the words' pairing differences have no
+    # other common kernel, so the space is exactly the one the paths define
+    rng = random.Random(47)
+    for d, k, segments in ((2, 3, None), (2, 4, None), (2, 5, None), (3, 3, None), (2, 3, 5)):
+        m = k if segments is None else segments
+        basis = loopclosure_space(d, k, segments=segments)
+        words = words_of_degree(d, k)
+        differences = []
+        for _ in range(d**k):
+            pts = [tuple(qq(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(d)) for _ in range(m + 1)]
+            open_sig, *closed_sigs = [pl_signature(PLPath(p), k) for p in (pts, pts + pts[:1], pts[-1:] + pts)]
+            for element in basis.elements:
+                for sig in closed_sigs:
+                    assert pair(sig, element) == pair(open_sig, element), (d, k, segments, element)
+            for sig in closed_sigs:
+                differences.append([sig.terms.get(w, 0) - open_sig.terms.get(w, 0) for w in words])
+        assert nullspace(SparseMatrixQ.from_rows(differences)) == basis.space, (d, k, segments)
+
+
 def test_loopclosure_membership_graded():
     mixed = volume_element(2) + TensorElement.unit(2)
     assert loopclosure_membership(mixed)
@@ -244,10 +270,11 @@ def test_inv_d_contains_volume_element():
 
 
 def test_inv_d_planar_matches_direct_intersection():
-    # cross-check the refinement implementation against the literal
-    # intersections: loop closure and two stabilizers for d = 2, and for
+    # cross-check the cut-down chain against the literal intersections: loop
+    # closure and two stabilizers for d = 2 and d = 6 (where the chain solves
+    # loop closure first, on fewer points than either stabilizer), and for
     # d = 4 (d = 0 mod 4) time reversal as well
-    for d, ks in ((2, (1, 2, 3)), (4, (1, 2, 3, 4))):
+    for d, ks in ((2, (1, 2, 3, 4)), (4, (1, 2, 3, 4)), (6, (1, 2, 3))):
         for k in ks:
             direct = loopclosure_space(d, k).space
             if d % 4 == 0:
@@ -262,6 +289,14 @@ def test_inv_d_planar_matches_direct_intersection():
         for k in (1, 2, 3, 4):
             direct = intersect(loopclosure_space(4, k).space, timerev_space(4, k).space)
             assert inv_d_space(4, k).space == direct, k
+
+
+def test_inv_d_basis_needs_no_second_elimination():
+    # each cut lifts its kernel through the current basis without another
+    # elimination; the result must already be the canonical basis
+    for d, k in ((2, 6), (3, 6), (4, 4), (6, 3)):
+        space = inv_d_space(d, k).space
+        assert SubspaceQ(space.ambient_dim, space.basis) == space, (d, k)
 
 
 def test_inv_d_planar_contains_shuffle_square():
@@ -334,8 +369,6 @@ def test_invariant_space_matches_concrete_path_pairings():
     # implementation-independent cross-check: for every basis element,
     # permuting the control points of a concrete path never changes the
     # signature pairing
-    from sigvol.sigpoly import PLPath, pair, pl_signature
-
     rng = random.Random(31)
     for d, n, maxk in ((2, 4, 3), (3, 4, 3)):
         group = stabilizer_structural(d, n)
