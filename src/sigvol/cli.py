@@ -372,6 +372,7 @@ def _dispatch(args) -> int:
         report = {}
         ok = True
         calculators: dict[int, SigPolyCalculator] = {}  # one memo per alphabet
+        invariance: dict = {}  # one stabilizer condition per (d, n)
         for name, x in elements.items():
             entry = {}
             for check in checks:
@@ -380,7 +381,7 @@ def _dispatch(args) -> int:
                         raise UsageError("check 'invariant' needs --n")
                     if args.n < x.d + 1:
                         raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
-                    entry[check] = is_invariant(x, x.d, args.n)
+                    entry[check] = is_invariant(x, x.d, args.n, invariance)
                 elif check == "kernel":
                     if args.n is None:
                         raise UsageError("check 'kernel' needs --n")

@@ -19,7 +19,11 @@ The subspaces on offer:
   points at once: all the conditions above that d calls for.
 
 Each space is one cut-down chain, `_cut`: the full degree-k space cut down
-by each of its conditions in turn.
+by each of its conditions in turn.  Every condition commutes with linear
+maps of R^d, so the chain splits by letter content (how often each letter
+occurs in a word): it solves only the blocks whose letter counts do not
+increase, and fills every other block by relabelling the letters of one of
+those.
 
 Raw dimensions of ``invariant_space`` include the full kernel (the zero
 polynomial is invariant under anything), so counts of "visibly distinct"
@@ -35,7 +39,7 @@ from functools import partial
 from itertools import product
 from typing import Callable
 
-from .exactq import QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace
+from .exactq import Q1, QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace, rref_rows
 from .freealg import TensorElement, Word, antipode, element_to_text, shuffle_power, volume_element
 from .posgeom import PermGroup, stabilizer_structural
 from .sigpoly import (
@@ -146,23 +150,61 @@ def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
 def _cut(d: int, k: int, conditions) -> SubspaceQ:
     """The degree-k elements that meet every condition, cut down one condition at a time.
 
-    Each condition is solved over the current basis, one column per basis
-    element, so it solves at the dimension the conditions before it left.
-    The kernel lifts back through that basis with no second elimination: a
-    reduced-echelon kernel vector lambda, lifted through a reduced-echelon
-    basis, has entry lambda_j at the j-th old pivot and nothing before the
-    old pivot of its own lead, so the lifts are reduced echelon again.
+    The space is solved one letter-content block at a time (the words with
+    the same count of each letter), and only on the dominant blocks, whose
+    counts do not increase from letter 1 to letter d.  Every condition here
+    commutes with each linear map A of R^d, because S(AX) = A^{(x)k} S(X),
+    A maps an n-point path to an n-point path, and A commutes with
+    permuting, reversing or closing its control points; so each space the
+    chain builds is GL_d-stable.  Under the diagonal A it is the direct sum
+    of its blocks: the conditions never mix blocks, since a word's
+    polynomial has degree c_i in the coordinate-i increments and every
+    substitution maps a coordinate-i increment to a form in coordinate i.
+    Under the permutation matrices the block of content c is the letter
+    relabelling of the dominant block of sorted(c).
+
+    On a block each condition is solved over the current basis, one column
+    per basis element, so it solves at the dimension the conditions before
+    it left.  The kernel lifts back through that basis with no second
+    elimination: a reduced-echelon kernel vector lambda, lifted through a
+    reduced-echelon basis, has entry lambda_j at the j-th old pivot and
+    nothing before the old pivot of its own lead, so the lifts are reduced
+    echelon again.  A relabelled block is reduced once more on its own.
+    The blocks have disjoint supports, so the union of their reduced bases,
+    sorted by lead, is the reduced echelon basis of the whole space.
     """
     words = words_of_degree(d, k)
-    space = SubspaceQ.full(len(words))
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for c, w in enumerate(words):
+        blocks.setdefault(tuple(w.count(a) for a in range(1, d + 1)), []).append(c)
+    # the basis of each dominant block, as rows over the word indices
+    dominant = {
+        content: [{c: Q1} for c in cols]
+        for content, cols in blocks.items() if list(content) == sorted(content, reverse=True)
+    }
     for condition in conditions:
-        if space.dim == 0:
+        if not any(dominant.values()):
             break
-        rows, _ = integral_coefficients([{words[c]: v for c, v in row.items()} for row in space.basis])
-        solutions = _solve(rows, condition)
-        vectors = [combine((lam, space.basis[j]) for j, lam in sol.items()) for sol in solutions.basis]
-        space = SubspaceQ(space.ambient_dim, vectors, _canonical=True)
-    return space
+        for content, basis in dominant.items():
+            if basis:
+                rows, _ = integral_coefficients([{words[c]: v for c, v in row.items()} for row in basis])
+                solutions = _solve(rows, condition)
+                dominant[content] = [
+                    combine((lam, basis[j]) for j, lam in sol.items()) for sol in solutions.basis
+                ]
+    index = {w: c for c, w in enumerate(words)}
+    vectors = []
+    for content in blocks:
+        # letter a + 1 of the dominant block becomes letter order[a] + 1 here
+        order = sorted(range(d), key=lambda a: -content[a])
+        basis = dominant[tuple(content[a] for a in order)]
+        if order == sorted(order):
+            vectors += basis
+        else:
+            vectors += rref_rows(
+                {index[tuple(order[a - 1] + 1 for a in words[c])]: v for c, v in row.items()} for row in basis
+            )
+    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True)
 
 
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
@@ -261,14 +303,21 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
 # ---------------------------------------------------------------------------
 
 
-def is_invariant(x: TensorElement, d: int, n: int) -> bool:
-    """Whether the signature polynomial of x on n points is stabilizer-fixed."""
+def is_invariant(x: TensorElement, d: int, n: int, conditions: dict | None = None) -> bool:
+    """Whether the signature polynomial of x on n points is stabilizer-fixed.
+
+    Pass one `conditions` dict to many calls to share one condition builder
+    per (d, n), with its calculator memo and substitution caches.
+    """
     if x.d != d:
         raise ValueError("alphabet mismatch")
+    conditions = {} if conditions is None else conditions
+    if (d, n) not in conditions:
+        conditions[d, n] = _group_conditions(d, n, stabilizer_structural(d, n).generators)
     # each graded part comes out scaled by its own positive factor; substitutions
     # keep degrees, so invariance of the scaled parts is invariance of x
     (coeffs,), _ = integral_coefficients([x.terms])
-    return not any(_group_conditions(d, n, stabilizer_structural(d, n).generators)(coeffs))
+    return not any(conditions[d, n](coeffs))
 
 
 def dim_image(basis: GradedBasis, n: int) -> int:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sigvol import fixtures, invariants
-from sigvol.exactq import SparseMatrixQ, SubspaceQ, intersect, nullspace, qq
+from sigvol.exactq import SparseMatrixQ, SubspaceQ, combine, intersect, nullspace, qq
 from sigvol.freealg import (
     TensorElement,
     antipode,
@@ -25,8 +25,8 @@ from sigvol.invariants import (
     timerev_space,
     words_of_degree,
 )
-from sigvol.posgeom import PermGroup, Permutation, stabilizer_structural
-from sigvol.sigpoly import PLPath, pair, pl_signature, signature_polynomial
+from sigvol.posgeom import PermGroup, Permutation, named_group, stabilizer_structural
+from sigvol.sigpoly import PLPath, integral_coefficients, pair, pl_signature, signature_polynomial
 
 
 # -- invariant spaces -----------------------------------------------------------
@@ -325,12 +325,99 @@ def test_inv_d_dimension_four_branch():
     assert basis.contains(volume_element(4))
 
 
+def test_inv_d_dimension_d3_k7():
+    assert inv_d_space(3, 7).dim == 18
+
+
+# -- letter-content blocks ------------------------------------------------------------
+
+# small spaces of every kind that `_cut` builds, with a non-structural group
+# among the group actions and a d = 0 (mod 4) case among the simultaneous ones
+SPACES = {
+    "kernel(2,3,5)": lambda: kernel_space(2, 3, 5),
+    "kernel(3,4,5)": lambda: kernel_space(3, 4, 5),
+    "invariant(3,4,5)": lambda: invariant_space(3, 4, 5, stabilizer_structural(3, 4)),
+    "dihedral(3,4,4)": lambda: invariant_space(3, 4, 4, named_group("dihedral", 4)),
+    "dihedral(2,5,4)": lambda: invariant_space(2, 5, 4, named_group("dihedral", 5)),
+    "cyclic(2,4,4)": lambda: invariant_space(2, 4, 4, named_group("cyclic", 4)),
+    "timerev(3,4)": lambda: timerev_space(3, 4),
+    "loopclosure(2,4)": lambda: loopclosure_space(2, 4),
+    "loopclosure(3,4)": lambda: loopclosure_space(3, 4),
+    "loopclosure(2,4,segments=3)": lambda: loopclosure_space(2, 4, segments=3),
+    "loopclosure(2,4,segments=5)": lambda: loopclosure_space(2, 4, segments=5),
+    "inv_d(2,6)": lambda: inv_d_space(2, 6),
+    "inv_d(3,6)": lambda: inv_d_space(3, 6),
+    "inv_d(4,4)": lambda: inv_d_space(4, 4),
+    "inv_d(4,5)": lambda: inv_d_space(4, 5),
+    "inv_d(5,3)": lambda: inv_d_space(5, 3),
+}
+
+
+def _single_block_cut(d, k, conditions):
+    # the chain over all degree-k words at once, with no block split: the
+    # reference the block-wise `_cut` must agree with
+    words = words_of_degree(d, k)
+    space = SubspaceQ.full(len(words))
+    for condition in conditions:
+        if space.dim == 0:
+            break
+        rows, _ = integral_coefficients([{words[c]: v for c, v in row.items()} for row in space.basis])
+        solutions = invariants._solve(rows, condition)
+        vectors = [combine((lam, space.basis[j]) for j, lam in sol.items()) for sol in solutions.basis]
+        space = SubspaceQ(space.ambient_dim, vectors, _canonical=True)
+    return space
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_letter_relabelling_maps_space_onto_itself(name):
+    basis = SPACES[name]()
+    rng = random.Random(name)
+    letters = list(range(1, basis.d + 1))
+    while basis.d > 1 and letters == sorted(letters):
+        rng.shuffle(letters)
+    relabelled = [
+        TensorElement(basis.d, {tuple(letters[a - 1] for a in w): c for w, c in x.terms.items()})
+        for x in basis.elements
+    ]
+    image = SubspaceQ(basis.space.ambient_dim, [basis.coordinate_vector(y) for y in relabelled])
+    assert image == basis.space
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_basis_vectors_are_content_homogeneous(name):
+    basis = SPACES[name]()
+    for x in basis.elements:
+        contents = {tuple(sorted(w)) for w in x.terms}
+        assert len(contents) == 1, x
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_block_cut_matches_single_block_chain(name, monkeypatch):
+    blockwise = SPACES[name]()
+    monkeypatch.setattr(invariants, "_cut", _single_block_cut)
+    single = SPACES[name]()
+    assert blockwise.space == single.space
+    assert blockwise.elements == single.elements
+
+
 # -- memberships and evidence ------------------------------------------------------------
 
 
 def test_is_invariant_fixtures():
     assert is_invariant(fixtures.element("w1"), 3, 4)
     assert is_invariant(fixtures.element("w2"), 3, 4)
+
+
+def test_is_invariant_shares_condition_builders():
+    # one dict shared by many checks holds one builder per (d, n), and the
+    # answers are those of checks that build their own
+    shared: dict = {}
+    elements = [fixtures.element("w1"), fixtures.element("w2"), volume_element(3),
+                TensorElement.from_word(3, (1, 2))]
+    for n in (4, 5):
+        for x in elements:
+            assert is_invariant(x, 3, n, shared) == is_invariant(x, 3, n)
+    assert sorted(shared) == [(3, 4), (3, 5)]
 
 
 def test_is_invariant_rejects_single_letter():
