@@ -240,8 +240,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_option_values(argv: list[str]) -> list[str]:
+    """Rewrite `--opt -value` as `--opt=-value`.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as an option, so `--path -3,4;1,1` would leave --path without its
+    value.  Every option of this CLI except --help takes one value, so the
+    token after it is that value unless it is an option itself (`--...` or
+    `-h`).  Everything after a bare `--` is left alone.
+    """
+    out: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if (
+            prev.startswith("--")
+            and "=" not in prev
+            and not "--help".startswith(prev)
+            and token.startswith("-")
+            and not token.startswith("--")
+            and token != "-h"
+        ):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_option_values(argv))
     try:
         _check_ranges(args)
         return _dispatch(args)

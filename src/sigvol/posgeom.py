@@ -4,11 +4,12 @@ A configuration of n points in R^d is *positive* when every maximal minor of
 the (d+1) x n matrix obtained by prepending a row of ones is strictly
 positive; increasing parameters on the moment curve always produce one.  The
 subgroup of S_n whose column permutations preserve positivity is computed two
-ways: by brute-force filtering of S_n with a purely combinatorial criterion
-(a permuted minor equals the sorted minor times the sign of the sorting
-permutation, so positivity survives exactly when every (d+1)-subset keeps an
-even inversion count), and structurally from case-by-case generator
-constructions depending on the parities of d and (d +- small).
+ways: by an exhaustive, GF(2)-pruned search of S_n with a purely
+combinatorial criterion (a permuted minor equals the sorted minor times the
+sign of the sorting permutation, so positivity survives exactly when every
+(d+1)-subset keeps an even inversion count), and structurally from
+case-by-case generator constructions depending on the parities of d and
+(d +- small).
 
 Facets of the convex hull come from the evenness criterion on index gaps,
 with an exact determinant-sign test as an independent check, and the
@@ -19,7 +20,7 @@ the signed-volume pairing of the boundary path.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactq import QQ, Q1, det_q, qq
@@ -97,40 +98,46 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
+def _closure(n: int, generators: Sequence[Permutation]) -> set[Permutation]:
+    """The elements of the subgroup of S_n generated by the given permutations."""
+    seen = {Permutation.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                e = h.compose(g)
+                if e not in seen:
+                    seen.add(e)
+                    nxt.append(e)
+        frontier = nxt
+    return seen
+
+
 class PermGroup:
     """Explicit finite subgroup of S_n with a chosen generator list (the identity dropped)."""
 
-    __slots__ = ("n", "elements", "generators", "structure_tag")
+    __slots__ = ("n", "elements", "generators", "structure_tag", "_members")
 
     def __init__(self, n: int, elements: Iterable[Permutation], generators: Iterable[Permutation], structure_tag: str):
         self.n = n
-        self.elements = sorted(set(elements))
+        self._members = set(elements)
+        self.elements = sorted(self._members, key=lambda p: p.images)
         self.generators = [g for g in generators if not g.is_identity()]
         self.structure_tag = structure_tag
-        if Permutation.identity(n) not in set(self.elements):
+        if Permutation.identity(n) not in self._members:
             raise ValueError("a group must contain the identity")
 
     @classmethod
     def generated(cls, n: int, generators: Sequence[Permutation], structure_tag: str) -> "PermGroup":
-        seen = {Permutation.identity(n)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in generators:
-                    e = h.compose(g)
-                    if e not in seen:
-                        seen.add(e)
-                        nxt.append(e)
-            frontier = nxt
-        return cls(n, seen, generators, structure_tag)
+        return cls(n, _closure(n, generators), generators, structure_tag)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
+        return perm in self._members
 
     def same_elements(self, other: "PermGroup") -> bool:
         return self.n == other.n and self.elements == other.elements
@@ -138,12 +145,12 @@ class PermGroup:
     def minimal_generators(self) -> list[Permutation]:
         """A small generating sublist, grown greedily over the element list."""
         gens: list[Permutation] = []
-        span = PermGroup.generated(self.n, [], "partial")
+        span = {Permutation.identity(self.n)}
         for e in self.elements:
-            if e not in set(span.elements):
+            if e not in span:
                 gens.append(e)
-                span = PermGroup.generated(self.n, gens, "partial")
-                if span.order == self.order:
+                span = _closure(self.n, gens)
+                if len(span) == self.order:
                     break
         return gens
 
@@ -234,18 +241,74 @@ def stabilizes_positivity(perm: Permutation, d: int) -> bool:
     return True
 
 
+def _criterion_echelon(d: int, n: int) -> list[list[int]]:
+    """The inversion-parity criterion in echelon form over GF(2), rows grouped by check position.
+
+    The pair of positions i < j is bit j(j-1)/2 + i, so the pairs inside the
+    first p positions are exactly the low p(p-1)/2 bits.  Each (d+1)-subset
+    of positions gives the row of its pairs.  Elimination on the highest bit
+    leaves rows with distinct top bits, each a GF(2) sum of criterion rows;
+    a row is checked at the position where its top pair ends.
+    """
+    pivots: dict[int, int] = {}
+    for subset in combinations(range(n), d + 1):
+        row = 0
+        for i, j in combinations(subset, 2):
+            row |= 1 << (j * (j - 1) // 2 + i)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    checks: list[list[int]] = [[] for _ in range(n)]
+    for top, row in pivots.items():
+        checks[(1 + math.isqrt(1 + 8 * top)) // 2].append(row)
+    return checks
+
+
 def stabilizer_bruteforce(d: int, n: int) -> PermGroup:
-    """Filter all of S_n by the inversion-parity criterion (guarded n <= 9)."""
+    """All of S_n that passes the inversion-parity criterion (guarded n <= 9).
+
+    An exhaustive search over prefixes of permutations in lexicographic
+    order.  With x_ij the inversion bit of positions i < j, the criterion
+    says that for every (d+1)-subset S of positions the sum of x over the
+    pairs in S is 0 mod 2: a linear system over GF(2), whose rank over GF(2)
+    (not over Q, so a few XORs on Python ints) is all the cut needs.  A row
+    of _criterion_echelon is tested once its last position is assigned.  An
+    odd row is a sum of criterion rows on assigned positions only, so no
+    completion of the prefix passes, and the prefix is cut.  The rows span
+    the criterion, so a full permutation with every row even passes it.  The
+    search keeps exactly what filtering all of S_n keeps, in the same order.
+    """
     if n < d + 1:
         raise ValueError("need n >= d+1")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is guarded at n <= {BRUTE_FORCE_LIMIT}")
-    subsets = list(combinations(range(n), d + 1))
-    elements = [
-        Permutation(images)
-        for images in permutations(range(1, n + 1))
-        if all(permutation_sign([images[i] for i in subset]) > 0 for subset in subsets)
-    ]
+    checks = _criterion_echelon(d, n)
+    elements: list[Permutation] = []
+    images = [0] * n
+    where = [0] * (n + 1)  # where[v]: the bit of the position holding value v, 0 while v is free
+
+    def extend(p: int, inversions: int, free: tuple[int, ...]) -> None:
+        shift = p * (p - 1) // 2
+        rows = checks[p]
+        for k, v in enumerate(free):
+            # the new inversions pair position p with the earlier positions holding larger values
+            x = inversions | sum(where[v + 1:]) << shift
+            for row in rows:
+                if (x & row).bit_count() & 1:
+                    break
+            else:
+                images[p] = v
+                if p == n - 1:
+                    elements.append(Permutation(images))
+                else:
+                    where[v] = 1 << p
+                    extend(p + 1, x, free[:k] + free[k + 1:])
+                    where[v] = 0
+
+    extend(0, 0, tuple(range(1, n + 1)))
     group = PermGroup(n, elements, [], "bruteforce")
     group.generators = group.minimal_generators()
     return group

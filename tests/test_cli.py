@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sigvol
-from sigvol.cli import run
+from sigvol.cli import build_parser, run
 
 
 def run_json(capsys, argv):
@@ -181,6 +181,45 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("sigvol: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["signature", "--path", "-3,4;1,1", "--maxdeg", "2"],
+         ["signature", "--path=-3,4;1,1", "--maxdeg", "2"]),
+        (["volume", "--moment-curve", "-3,1,2,5", "--d", "2"],
+         ["volume", "--moment-curve=-3,1,2,5", "--d", "2"]),
+        (["pair", "--path", "-1,0;1,1;2,3", "--element", "-1*12 + 21"],
+         ["pair", "--path=-1,0;1,1;2,3", "--element=-1*12 + 21"]),
+    ],
+)
+def test_option_value_may_begin_with_a_minus(capsys, spaced, joined):
+    assert run(joined) == 0
+    expected = capsys.readouterr()
+    assert run(spaced) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out
+
+
+def test_option_followed_by_an_option_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["pair", "--path", "--element", "12"])
+    assert exc.value.code == 2
+    assert "--path: expected one argument" in capsys.readouterr().err
+
+
+def test_every_option_but_help_takes_one_value():
+    # the rewrite of `--opt -value` in cli.run relies on this
+    parser = build_parser()
+    parsers = [parser] + [
+        sub for action in parser._actions if action.choices and isinstance(action.choices, dict)
+        for sub in action.choices.values()
+    ]
+    for p in parsers:
+        for action in p._actions:
+            if action.option_strings and "--help" not in action.option_strings:
+                assert action.nargs is None and action.const is None, action.option_strings
 
 
 def test_reproduce_paper_stdout_has_no_timing(capsys):

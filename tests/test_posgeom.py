@@ -1,14 +1,16 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from sigvol.exactq import qq
+from sigvol.freealg import permutation_sign
 from sigvol.posgeom import (
     CyclicInstance,
     DegenerateFacetError,
     PermGroup,
     Permutation,
+    _criterion_echelon,
     facet_check_det,
     gale_facets,
     is_positive_matrix,
@@ -22,6 +24,7 @@ from sigvol.posgeom import (
     stabilizes_positivity,
 )
 from sigvol.sigpoly import PLPath
+from sigvol.verify import STABILIZER_TABLE
 
 
 # -- permutations --------------------------------------------------------------
@@ -123,6 +126,77 @@ def test_bruteforce_examples():
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
         stabilizer_bruteforce(2, 10)
+
+
+def _unpruned_filter(d, n):
+    """The plain filter of all of S_n by the inversion-parity criterion, in lexicographic order."""
+    subsets = list(combinations(range(n), d + 1))
+    return [
+        Permutation(images)
+        for images in permutations(range(1, n + 1))
+        if all(permutation_sign([images[i] for i in subset]) > 0 for subset in subsets)
+    ]
+
+
+def _greedy_generators(n, elements):
+    """Each element not yet generated by the ones chosen before it, until the group is reached."""
+    gens, span = [], {Permutation.identity(n)}
+    for e in elements:
+        if e not in span:
+            gens.append(e)
+            span = set(PermGroup.generated(n, gens, "partial").elements)
+            if len(span) == len(elements):
+                break
+    return gens
+
+
+ORACLE_PAIRS = [(d, n) for n in range(2, 9) for d in range(1, n)] + [(2, 9), (6, 9)]
+
+
+@pytest.mark.parametrize("d,n", ORACLE_PAIRS)
+def test_bruteforce_matches_unpruned_filter(d, n):
+    expected = _unpruned_filter(d, n)
+    group = stabilizer_bruteforce(d, n)
+    assert group.elements == expected
+    assert group.generators == _greedy_generators(n, expected)
+    assert group.structure_tag == "bruteforce"
+
+
+def test_bruteforce_orders_of_the_tabulated_pairs():
+    assert [stabilizer_bruteforce(d, n).order for (d, n), _ in STABILIZER_TABLE] == [
+        order for _, order in STABILIZER_TABLE
+    ]
+
+
+def _inversion_vector(images):
+    return sum(
+        1 << (j * (j - 1) // 2 + i)
+        for i, j in combinations(range(len(images)), 2)
+        if images[i] > images[j]
+    )
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 7), (4, 7), (5, 7), (6, 9), (7, 8)])
+def test_criterion_echelon_rows(d, n):
+    checks = _criterion_echelon(d, n)
+    rows = [row for at_p in checks for row in at_p]
+    tops = [row.bit_length() - 1 for row in rows]
+    assert len(set(tops)) == len(rows)
+    for p, at_p in enumerate(checks):
+        for row in at_p:
+            # the top pair ends at position p, and every pair lies inside the first p+1 positions
+            assert p * (p - 1) // 2 <= row.bit_length() - 1 < p * (p + 1) // 2
+    # every row is a sum of criterion rows, so it is even on every element that passes the criterion
+    for perm in stabilizer_bruteforce(d, n).elements:
+        x = _inversion_vector(perm.images)
+        assert all((x & row).bit_count() % 2 == 0 for row in rows), (d, n, perm)
+
+
+def test_criterion_echelon_rank_for_the_alternating_case():
+    # n = d+1: the one criterion row is the full permutation's parity, checked at the last position
+    checks = _criterion_echelon(4, 5)
+    assert [len(at_p) for at_p in checks] == [0, 0, 0, 0, 1]
+    assert checks[4][0] == (1 << 10) - 1
 
 
 def test_structural_examples():
