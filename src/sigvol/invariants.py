@@ -42,9 +42,7 @@ from typing import Callable
 from .exactq import Q1, QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace, rref_rows
 from .freealg import TensorElement, Word, antipode, element_to_text, shuffle_power, volume_element
 from .posgeom import PermGroup, stabilizer_structural
-from .sigpoly import (
-    FIELD_BITS, SigPolyCalculator, closure_substitution, integral_coefficients, permutation_substitution,
-)
+from .sigpoly import SigPolyCalculator, integral_coefficients, permutation_substitution
 
 
 def words_of_degree(d: int, k: int) -> list[Word]:
@@ -120,17 +118,7 @@ def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]],
 
 def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict]]:
     """Per side: closed minus open packed polynomial of a word combination on m segments."""
-    calc = SigPolyCalculator(d, m + 2)
-    substitutions = [closure_substitution(d, m, "right"), closure_substitution(d, m, "left")]
-    # the open polynomial is the (m+1)-segment one with its last segment set to 0
-    open_bound = 1 << (FIELD_BITS * m * d)
-
-    def conditions(coeffs: dict[Word, int]) -> list[dict]:
-        big = calc.combination(coeffs)
-        small = {mono: c for mono, c in big.items() if mono < open_bound}
-        return [add_scaled(sub.apply_packed(big), -1, small) for sub in substitutions]
-
-    return conditions
+    return SigPolyCalculator(d, m + 1).closure_differences
 
 
 def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
@@ -279,11 +267,11 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
     """Degree-k elements invariant for every number of control points.
 
     The conditions shared by all point counts >= d+3 depend on d mod 4: time
-    reversal when d = 0 or 3 (mod 4) and loop closure (on k+2 points) when d
-    is even.  The stabilizers of n = d+1 and n = d+2 points remain.  The chain
-    imposes all of these cheapest first, by point count (time reversal: 0), so
-    the costly solves run over what the cheap ones leave, and builds each
-    only when it gets there, so one calculator memo is alive at a time.
+    reversal when d = 0 or 3 (mod 4) and loop closure (k+1 points into a loop
+    of k+2) when d is even.  The stabilizers of n = d+1 and n = d+2 points
+    remain.  The chain imposes all of these cheapest first, by point count
+    (time reversal: 0), so the costly solves run over what the cheap ones leave,
+    and builds each only when it gets there: one calculator memo at a time.
     """
     builders = []
     if d % 4 in (0, 3):

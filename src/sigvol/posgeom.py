@@ -100,18 +100,19 @@ class Permutation:
 
 def _closure(n: int, generators: Sequence[Permutation]) -> set[Permutation]:
     """The elements of the subgroup of S_n generated by the given permutations."""
-    seen = {Permutation.identity(n)}
+    gens = [g.images for g in generators]  # composed as image tuples, validated once at the end
+    seen = {tuple(range(1, n + 1))}
     frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
-            for h in generators:
-                e = h.compose(g)
+            for h in gens:
+                e = tuple([h[j - 1] for j in g])
                 if e not in seen:
                     seen.add(e)
                     nxt.append(e)
         frontier = nxt
-    return seen
+    return {Permutation(e) for e in seen}
 
 
 class PermGroup:

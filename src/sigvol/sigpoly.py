@@ -16,8 +16,9 @@ every n-point path.
 
 Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
-polynomial after permuting control points, merging a collinear point, or
-closing the path into a loop.
+polynomial after permuting control points or merging a collinear point.
+Closing the path into a loop needs none: Chen's identity gives the closed
+polynomial from the open path's own segments (`closure_differences`).
 
 The computational kernel works on integers.  Scaled by L!, the polynomial of
 a length-L word has integer (multinomial) coefficients, and the Chen step
@@ -391,6 +392,39 @@ class SigPolyCalculator:
         """Sum of c * |w|! * (polynomial of w) over integer coefficients c."""
         return combine((c, self._poly(1, w)) for w, c in coeffs.items())
 
+    def closure_differences(self, coeffs: Mapping[Word, int]) -> list[dict[int, int]]:
+        """Closed minus open, right and left, of an integer word combination, like `combination`.
+
+        The n-1 segments close into a loop with the increment -T, T their sum,
+        appended (right) or prepended (left).  By Chen's identity a word w = uv
+        closes to the sum over its splittings at j of C(|w|, j) times the open
+        polynomial of one part times (-1)^|c| prod_{i in c} T[i] for the closing
+        part c: v on the right, u on the left.  An empty c gives the open
+        polynomial, which cancels.  Each side takes one combination and one
+        product per letter multiset of c.
+        """
+        totals = [{}] + [{self._letters[s][i]: 1 for s in range(1, self.n)} for i in range(1, self.d + 1)]
+        products: dict[Word, dict[int, int]] = {(): {0: 1}}
+
+        def total_product(letters: Word) -> dict[int, int]:
+            if letters not in products:
+                products[letters] = add_product({}, total_product(letters[:-1]), totals[letters[-1]])
+            return products[letters]
+
+        # (side, sorted closing letters) -> open parts; side 0 closes on the right, 1 on the left
+        groups: dict[tuple[int, Word], dict[Word, int]] = {}
+        for w, c in coeffs.items():
+            length = len(w)
+            _check_degree(length)
+            for j in range(length):
+                scaled = (-1) ** (length - j) * math.comb(length, j) * c
+                add_scaled(groups.setdefault((0, tuple(sorted(w[j:]))), {}), scaled, {w[:j]: 1})
+                add_scaled(groups.setdefault((1, tuple(sorted(w[:length - j]))), {}), scaled, {w[length - j:]: 1})
+        out: list[dict[int, int]] = [{}, {}]
+        for (side, letters), opens in groups.items():
+            add_product(out[side], self.combination(opens), total_product(letters))
+        return out
+
     def _to_polynomial(self, terms: Mapping[int, int], den: int) -> IncrementPolynomial:
         # a packed term of degree k stands for 1/(den * k!) of itself
         nvars = (self.n - 1) * self.d
@@ -435,9 +469,9 @@ class LinearSubstitution:
     `forms[v]` lists (target variable, coefficient) pairs.  Expansions are
     cached per packed monomial, which matters when the same substitution is
     applied to the polynomials of a whole graded batch of words.  Integral
-    form coefficients are kept as ints, so permutations and loop closures
-    map integer polynomials to integer polynomials; rational ones (collinear
-    merges) carry QQ through the same code.
+    form coefficients are kept as ints, so permutations map integer
+    polynomials to integer polynomials; rational ones (collinear merges)
+    carry QQ through the same code.
     """
 
     def __init__(self, d: int, n_in: int, n_out: int, forms: Mapping[int, Sequence[tuple[int, QQ]]]):
@@ -550,30 +584,6 @@ def substitute_collinear(p: IncrementPolynomial, i: int, lam) -> IncrementPolyno
             else:
                 forms[var] = [((s_out - 1) * d + (coord - 1), weight)]
     return LinearSubstitution(d, n, n - 1, forms).apply(p)
-
-
-def closure_substitution(d: int, m: int, side: str) -> LinearSubstitution:
-    """Substitution that closes an m-segment path into a loop.
-
-    For the right closure the appended increment is minus the total
-    displacement; for the left closure the prepended one is, and the
-    original segments shift up by one.  Both map polynomials over m+1
-    segments to polynomials over the m original segments.
-    """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    forms: dict[int, list[tuple[int, QQ]]] = {}
-    for i in range(1, d + 1):
-        closing = [((s - 1) * d + (i - 1), -Q1) for s in range(1, m + 1)]
-        if side == "right":
-            for s in range(1, m + 1):
-                forms[(s - 1) * d + (i - 1)] = [((s - 1) * d + (i - 1), Q1)]
-            forms[m * d + (i - 1)] = closing
-        else:
-            forms[i - 1] = closing
-            for s in range(2, m + 2):
-                forms[(s - 1) * d + (i - 1)] = [((s - 2) * d + (i - 1), Q1)]
-    return LinearSubstitution(d, m + 2, m + 1, forms)
 
 
 # ---------------------------------------------------------------------------

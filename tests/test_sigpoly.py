@@ -7,6 +7,7 @@ import pytest
 
 from sigvol.exactq import qq
 from sigvol.freealg import TensorElement, antipode, concat, parse_element, shuffle, volume_element
+from sigvol.invariants import loopclosure_membership
 from sigvol.sigpoly import (
     MAX_DEGREE,
     IncrementPolynomial,
@@ -14,7 +15,7 @@ from sigvol.sigpoly import (
     SigPolyCalculator,
     TruncatedSignature,
     chen_product,
-    closure_substitution,
+    integral_coefficients,
     pair,
     parse_polynomial,
     permute_control_points,
@@ -530,13 +531,19 @@ def test_closure_substitution_matches_reference(side):
     rng = random.Random(400 + len(side))
     for _ in range(8):
         d = rng.choice([1, 2, 3])
-        m = rng.randint(1, 3)
+        # below, at and above the degrees of the element
+        m = rng.randint(1, 5)
         path = [{j: 1} for j in range(1, m + 2)]
         points = path + [{1: 1}] if side == "right" else [{m + 1: 1}] + path
         forms = ref_forms(d, points)
         x = random_element(rng, d, 4, 4)
-        for p in (signature_polynomial(x, m + 2), random_polynomial(rng, d, m + 2, 4)):
-            assert closure_substitution(d, m, side).apply(p) == ref_substitute(p, m + 1, forms)
+        closed = ref_substitute(signature_polynomial(x, m + 2), m + 1, forms)
+        expected = closed - signature_polynomial(x, m + 1)
+        (coeffs,), den = integral_coefficients([x.terms])
+        calc = SigPolyCalculator(d, m + 1)
+        diff = calc.closure_differences(coeffs)[0 if side == "right" else 1]
+        # the packed difference is scaled by den * (word length)!, which _to_polynomial undoes
+        assert calc._to_polynomial(diff, den) == expected
 
 
 def test_packed_field_overflow_raises():
@@ -552,3 +559,5 @@ def test_packed_field_overflow_raises():
         permute_control_points(too_big, (2, 1, 3))
     with pytest.raises(OverflowError):
         signature_polynomial((1,) * (MAX_DEGREE + 1), 2, d=1)
+    with pytest.raises(OverflowError):
+        loopclosure_membership(TensorElement.from_word(1, (1,) * (MAX_DEGREE + 1)), segments=1)
