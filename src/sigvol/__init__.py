@@ -53,7 +53,6 @@ from .sigpoly import (
     permute_control_points,
     pl_signature,
     polynomial_to_text,
-    segment_signature,
     signature_polynomial,
     substitute_collinear,
 )

@@ -46,6 +46,8 @@ def qq(value, den=None) -> QQ:
         text = value.strip()
         if "/" in text:
             num, _, d = text.partition("/")
+            if int(d) == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             return QQ(int(num)) / QQ(int(d))
         return QQ(int(text))
     return QQ(value)

@@ -1,11 +1,12 @@
 """Signatures of piecewise linear paths, exactly.
 
 A piecewise linear path is an ordered list of rational control points.  Its
-truncated signature is computed segment by segment (each segment contributes
-the exponential-type series with coefficient 1/k! on a word of length k) and
-multiplied together with the concatenation (Chen) product, which groups the
-terms of both factors by word length and multiplies only the pairs of
-lengths that fit the truncation.
+truncated signature is built by Chen's identity, one segment at a time: the
+running signature, one word map per level, is multiplied in place by the
+segment's exponential (coefficient a_{i_1}...a_{i_k}/k! on a word of length
+k), each level in Horner form.  `chen_product` multiplies two given
+signatures; it groups the terms of both factors by word length and
+multiplies only the pairs of lengths that fit the truncation.
 
 The same computation carried out symbolically yields, for every word, the
 polynomial in the increment variables a[s][i] (segment s, coordinate i) that
@@ -146,30 +147,6 @@ class TruncatedSignature:
         return f"TruncatedSignature(d={self.d}, maxdeg={self.maxdeg}, nterms={len(self.terms)})"
 
 
-def trivial_signature(d: int, maxdeg: int) -> TruncatedSignature:
-    return TruncatedSignature(d, maxdeg)
-
-
-def segment_signature(a: Sequence, maxdeg: int, d: int | None = None) -> TruncatedSignature:
-    """Signature of one linear segment with increment vector `a`.
-
-    The coefficient at the word i_1...i_k is a_{i_1} * ... * a_{i_k} / k!.
-    """
-    vec = [qq(c) for c in a]
-    if d is None:
-        d = len(vec)
-    elif d != len(vec):
-        raise ValueError("increment length does not match d")
-    support = [i + 1 for i, c in enumerate(vec) if c != 0]
-    terms: dict[Word, QQ] = {}
-    level: dict[Word, QQ] = {EMPTY_WORD: Q1}
-    for k in range(1, maxdeg + 1):
-        # one factor a_i / k extends a length-(k-1) word's coefficient to w + (i,)
-        level = {w + (i,): c * vec[i - 1] / k for w, c in level.items() for i in support}
-        terms.update(level)
-    return TruncatedSignature(d, maxdeg, terms)
-
-
 def chen_product(s: TruncatedSignature, t: TruncatedSignature) -> TruncatedSignature:
     """Concatenation product: coefficients convolve over prefix/suffix splits."""
     if (s.d, s.maxdeg) != (t.d, t.maxdeg):
@@ -192,13 +169,26 @@ def _by_length(terms: Mapping[Word, QQ]) -> dict[int, dict[Word, QQ]]:
 
 
 def pl_signature(path: PLPath, maxdeg: int) -> TruncatedSignature:
-    """Signature of a piecewise linear path, one Chen factor per segment."""
-    sig = trivial_signature(path.d, maxdeg)
+    """Signature of a piecewise linear path, by Chen's identity one segment at a time.
+
+    The running signature S is kept as one word map per level and multiplied
+    in place by each segment's exponential exp(a), whose level k is a^{(x)k}/k!.
+    Level L of S (x) exp(a) is, in Horner form,
+    ((S_0 a/L + S_1) a/(L-1) + ... + S_{L-1}) a/1 + S_L.  Levels are updated
+    top level first, so every level a step reads is still the old one.
+    """
+    levels: list[dict[Word, QQ]] = [{EMPTY_WORD: Q1}] + [{} for _ in range(maxdeg)]
     for a in path.increments():
-        if all(c == 0 for c in a):
+        support = [(i, c) for i, c in enumerate(a, 1) if c != 0]
+        if not support:
             continue  # a doubled control point is the Chen unit
-        sig = chen_product(sig, segment_signature(a, maxdeg, path.d))
-    return sig
+        for top in range(maxdeg, 0, -1):
+            acc = levels[0]
+            for j in range(1, top + 1):
+                step = [(i, c / (top - j + 1)) for i, c in support]
+                acc = add_scaled({w + (i,): v * c for w, v in acc.items() for i, c in step}, 1, levels[j])
+            levels[top] = acc
+    return TruncatedSignature(path.d, maxdeg, {w: v for level in levels for w, v in level.items()})
 
 
 def pair(sig: TruncatedSignature, x: TensorElement) -> QQ:

@@ -168,6 +168,13 @@ def test_loopclosure_space_command(capsys):
         ["volume", "--moment-curve", "3,2,1,0", "--d", "2"],  # decreasing parameters
         ["pair", "--path", "0,0;1,1", "--element", "1", "--d", "3"],  # alphabet != dimension
         ["hmap", "1" * 256, "--n", "2"],  # above the packed monomial field
+        ["kernel-space", "--d", "1", "--n", "2", "--k", "256"],
+        ["loopclosure-space", "--d", "1", "--k", "256"],
+        ["inv-space", "--d", "1", "--n", "2", "--k", "256"],
+        ["signature", "--path", "1/0,1", "--maxdeg", "1"],  # zero denominator
+        ["volume", "--moment-curve", "0,1/0", "--d", "1"],
+        ["antipode", "1/0*12"],
+        ["hmap", "1/0*1", "--n", "2"],
         ["check-element", "--fixture", "no_such_fixture.txt", "--n", "4"],
         ["check-element", "--fixture", "invariants_d3_n4.txt", "--n", "3"],
         ["reproduce-paper", "--only", "99"],

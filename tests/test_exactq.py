@@ -203,6 +203,14 @@ def test_intersect_random_against_stacked_constraint_oracle():
             assert inter.dim >= 1
 
 
+def test_qq_parses_strings_and_rejects_a_zero_denominator():
+    assert qq(" -2/4 ") == qq(-1, 2)
+    assert qq("7") == 7
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            qq(text)
+
+
 def test_add_scaled_works_in_place_and_drops_cancelled_keys():
     out = {"a": 2, "b": qq(1, 2)}
     result = add_scaled(out, -2, {"a": 1, "c": 3})

@@ -21,10 +21,8 @@ from sigvol.sigpoly import (
     permute_control_points,
     pl_signature,
     polynomial_to_text,
-    segment_signature,
     signature_polynomial,
     substitute_collinear,
-    trivial_signature,
 )
 
 
@@ -41,7 +39,7 @@ PENTAGON = PLPath([(t, t * t) for t in range(5)])
 
 
 def test_segment_signature_product_formula():
-    sig = segment_signature((qq(1), qq(2)), 2)
+    sig = pl_signature(PLPath([(0, 0), (1, 2)]), 2)
     assert sig.coeff((1, 2)) == 1  # 1*2/2!
     assert sig.coeff(()) == 1
     assert sig.coeff((1,)) == 1
@@ -61,19 +59,19 @@ def test_segment_signature_product_formula():
                     c *= a[letter - 1]
                 if c != 0:
                     expected[word] = c
-        assert segment_signature(a, maxdeg).terms == expected
+        assert pl_signature(PLPath([(0,) * d, a]), maxdeg).terms == expected
 
 
 def test_segment_signature_zero_increment():
-    sig = segment_signature((qq(0), qq(0)), 3)
-    assert sig == trivial_signature(2, 3)
+    sig = pl_signature(PLPath([(0, 0), (0, 0)]), 3)
+    assert sig == TruncatedSignature(2, 3)
 
 
 def test_chen_unit():
     s = pl_signature(PENTAGON, 2)
-    assert chen_product(s, trivial_signature(2, 2)) == s
-    assert chen_product(trivial_signature(2, 2), s) == s
-    for other in (trivial_signature(2, 3), trivial_signature(3, 2)):
+    assert chen_product(s, TruncatedSignature(2, 2)) == s
+    assert chen_product(TruncatedSignature(2, 2), s) == s
+    for other in (TruncatedSignature(2, 3), TruncatedSignature(3, 2)):
         with pytest.raises(ValueError):
             chen_product(s, other)
 
@@ -136,11 +134,43 @@ def test_chen_identity_for_concatenated_paths():
         )
 
 
+def segment_fold_signature(path, maxdeg):
+    """Reference: each segment's full exponential, multiplied in by `chen_product`."""
+    sig = TruncatedSignature(path.d, maxdeg)
+    for a in path.increments():
+        level, terms = {(): qq(1)}, {}
+        for k in range(1, maxdeg + 1):
+            level = {w + (i,): c * x / k for w, c in level.items() for i, x in enumerate(a, 1) if x != 0}
+            terms.update(level)
+        sig = chen_product(sig, TruncatedSignature(path.d, maxdeg, terms))
+    return sig
+
+
+def test_pl_signature_against_segment_fold():
+    rng = random.Random(29)
+    doubled = zeros = 0
+    for case, (d, maxdeg) in enumerate(product(range(1, 5), range(8))):
+        points = []
+        for _ in range(case % 7 + 1):
+            if points and rng.random() < 0.2:
+                points.append(points[-1])
+                doubled += 1
+            else:
+                points.append(tuple(
+                    qq(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.8 else qq(0)
+                    for _ in range(d)
+                ))
+                zeros += qq(0) in points[-1]
+        path = PLPath(points)
+        assert pl_signature(path, maxdeg) == segment_fold_signature(path, maxdeg)
+    assert doubled and zeros
+
+
 # -- path signatures ----------------------------------------------------------
 
 
 def test_single_point_path_is_trivial():
-    assert pl_signature(PLPath([(1, 2)]), 3) == trivial_signature(2, 3)
+    assert pl_signature(PLPath([(1, 2)]), 3) == TruncatedSignature(2, 3)
 
 
 def test_pentagon_signed_area():
