@@ -50,6 +50,7 @@ from .sigpoly import (
     chen_product,
     pair,
     parse_polynomial,
+    path_pair,
     permute_control_points,
     pl_signature,
     polynomial_to_text,

@@ -12,6 +12,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,7 +54,7 @@ from .posgeom import (
 from .sigpoly import (
     PLPath,
     SigPolyCalculator,
-    pair,
+    path_pair,
     pl_signature,
     polynomial_to_text,
     polynomial_to_x_text,
@@ -234,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state on the parser, so one serves every `run` of a process
+    return build_parser()
+
+
 def _attach_option_values(argv: list[str]) -> list[str]:
     """Rewrite `--opt -value` as `--opt=-value`.
 
@@ -264,7 +271,7 @@ def _attach_option_values(argv: list[str]) -> list[str]:
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_option_values(argv))
+    args = _parser().parse_args(_attach_option_values(argv))
     try:
         _check_ranges(args)
         return _dispatch(args)
@@ -323,9 +330,7 @@ def _dispatch(args) -> int:
         for name, x in elements.items():
             if x.d != path.d:
                 raise UsageError(f"element {name} has {x.d} letters but the path lives in dimension {path.d}")
-        maxdeg = max(x.degree() for x in elements.values())
-        sig = pl_signature(path, max(maxdeg, 1))
-        values = {name: str(pair(sig, x)) for name, x in elements.items()}
+        values = {name: str(path_pair(path, x)) for name, x in elements.items()}
         _emit({"values": values}, fmt,
               lambda d: "\n".join(f"{k} = {v}" for k, v in d["values"].items()))
         return 0

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .exactq import QQ, Q1, det_q, qq
 from .freealg import permutation_sign, volume_element
-from .sigpoly import PLPath, pair, pl_signature
+from .sigpoly import PLPath, path_pair
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -485,6 +485,4 @@ def polytope_volume(instance: CyclicInstance) -> QQ:
 
 def signed_volume(path: PLPath) -> QQ:
     """(1/d!) times the signature pairing with the signed-volume element."""
-    d = path.d
-    sig = pl_signature(path, d)
-    return pair(sig, volume_element(d)) / QQ(math.factorial(d))
+    return path_pair(path, volume_element(path.d)) / QQ(math.factorial(path.d))

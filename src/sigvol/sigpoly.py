@@ -4,9 +4,14 @@ A piecewise linear path is an ordered list of rational control points.  Its
 truncated signature is built by Chen's identity, one segment at a time: the
 running signature, one word map per level, is multiplied in place by the
 segment's exponential (coefficient a_{i_1}...a_{i_k}/k! on a word of length
-k), each level in Horner form.  `chen_product` multiplies two given
-signatures; it groups the terms of both factors by word length and
-multiplies only the pairs of lengths that fit the truncation.
+k), each level in Horner form.  Numeric signatures use the same L!-scaled
+integer Chen step as the symbolic kernel below, times D^L, where D is the
+common denominator of the increments: level L is kept as L! D^L times its
+coefficients, all ints, and divided once at the end.  `path_pair` pairs a
+path with an element by running that step on the prefixes of the element's
+words only.  `chen_product` multiplies two given signatures; it groups the
+terms of both factors by word length and multiplies only the pairs of
+lengths that fit the truncation.
 
 The same computation carried out symbolically yields, for every word, the
 polynomial in the increment variables a[s][i] (segment s, coordinate i) that
@@ -168,27 +173,55 @@ def _by_length(terms: Mapping[Word, QQ]) -> dict[int, dict[Word, QQ]]:
     return parts
 
 
-def pl_signature(path: PLPath, maxdeg: int) -> TruncatedSignature:
-    """Signature of a piecewise linear path, by Chen's identity one segment at a time.
+def _chen_levels(path: PLPath, maxdeg: int, words: frozenset | None = None) -> tuple[list[dict[Word, int]], int]:
+    """H_L = L! D^L S_L as ints for L = 0..maxdeg, and D, by Chen's identity.
 
-    The running signature S is kept as one word map per level and multiplied
-    in place by each segment's exponential exp(a), whose level k is a^{(x)k}/k!.
-    Level L of S (x) exp(a) is, in Horner form,
-    ((S_0 a/L + S_1) a/(L-1) + ... + S_{L-1}) a/1 + S_L.  Levels are updated
-    top level first, so every level a step reads is still the old one.
+    D is the lcm of the increment denominators and b = D a the integer
+    increments.  Each segment multiplies the running signature in place by
+    exp(a): H'_L = sum_j C(L, j) H_j (x) b^{(x)(L-j)}, in Horner form
+    acc = acc (x) b + C(L, j) H_j.  Levels are updated top level first, so
+    every level a step reads is still the old one.  With `words` (a
+    prefix-closed set) only those words are kept: a word's value reads only
+    the values of its prefixes.
     """
-    levels: list[dict[Word, QQ]] = [{EMPTY_WORD: Q1}] + [{} for _ in range(maxdeg)]
-    for a in path.increments():
-        support = [(i, c) for i, c in enumerate(a, 1) if c != 0]
+    increments, den = integral_coefficients([dict(enumerate(a, 1)) for a in path.increments()])
+    levels: list[dict[Word, int]] = [{EMPTY_WORD: 1}] + [{} for _ in range(maxdeg)]
+    for b in increments:
+        support = [(i, c) for i, c in b.items() if c]
         if not support:
             continue  # a doubled control point is the Chen unit
         for top in range(maxdeg, 0, -1):
             acc = levels[0]
             for j in range(1, top + 1):
-                step = [(i, c / (top - j + 1)) for i, c in support]
-                acc = add_scaled({w + (i,): v * c for w, v in acc.items() for i, c in step}, 1, levels[j])
+                if words is None:
+                    acc = {w + (i,): v * c for w, v in acc.items() for i, c in support}
+                else:
+                    acc = {u: v * c for w, v in acc.items() for i, c in support if (u := w + (i,)) in words}
+                add_scaled(acc, math.comb(top, j), levels[j])
             levels[top] = acc
-    return TruncatedSignature(path.d, maxdeg, {w: v for level in levels for w, v in level.items()})
+    return levels, den
+
+
+def pl_signature(path: PLPath, maxdeg: int) -> TruncatedSignature:
+    """Signature of a piecewise linear path: the integer Chen levels over L! D^L."""
+    levels, den = _chen_levels(path, maxdeg)
+    return TruncatedSignature(path.d, maxdeg, {
+        w: QQ(v, math.factorial(length) * den**length)
+        for length, level in enumerate(levels) for w, v in level.items()
+    })
+
+
+def path_pair(path: PLPath, x: TensorElement) -> QQ:
+    """<S(path), x>, from the integer Chen levels of the prefixes of x's words only."""
+    if x.d != path.d:
+        raise ValueError("alphabet mismatch")
+    (coeffs,), coeff_den = integral_coefficients([x.terms])
+    maxdeg = x.degree()
+    levels, den = _chen_levels(path, maxdeg, frozenset(w[:j] for w in coeffs for j in range(len(w) + 1)))
+    # a level-L value is over L! D^L; lift every level to the top level's scale
+    lift = [math.perm(maxdeg, maxdeg - length) * den ** (maxdeg - length) for length in range(maxdeg + 1)]
+    total = sum(c * lift[len(w)] * levels[len(w)].get(w, 0) for w, c in coeffs.items())
+    return QQ(total, coeff_den * math.factorial(maxdeg) * den**maxdeg)
 
 
 def pair(sig: TruncatedSignature, x: TensorElement) -> QQ:
@@ -314,7 +347,8 @@ def _unpack(packed: int, nvars: int) -> Monomial:
 def integral_coefficients(maps: Sequence[Mapping[Word, QQ]]) -> tuple[list[dict[Word, int]], int]:
     """Word coefficients of the maps times their common denominator D, and D.
 
-    Each map sends words to rational coefficients (an element's `terms`).
+    Each map sends keys to rational coefficients (an element's `terms`, or
+    an increment's coordinates by letter).
     Solvers scale all their columns by this one D: scaling every column of
     a matrix alike keeps its kernel, scaling columns apart would not.
     """

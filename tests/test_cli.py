@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sigvol
-from sigvol.cli import build_parser, run
+from sigvol.cli import _parser, build_parser, run
 
 
 def run_json(capsys, argv):
@@ -227,6 +227,23 @@ def test_every_option_but_help_takes_one_value():
         for action in p._actions:
             if action.option_strings and "--help" not in action.option_strings:
                 assert action.nargs is None and action.const is None, action.option_strings
+
+
+def test_cached_parser_keeps_no_state_between_parses(capsys):
+    parser = _parser()
+    assert _parser() is parser
+    # `action="append"` must start from its default again on the next parse
+    assert parser.parse_args(["reproduce-paper", "--only", "3"]).only == [3]
+    assert parser.parse_args(["reproduce-paper"]).only is None
+    # a usage error and a success in one process leave the next parse unaffected
+    with pytest.raises(SystemExit) as exc:
+        run(["signature", "--path", "0,0;1,1"])
+    assert exc.value.code == 2
+    assert run(["--format", "text", "signature", "--path", "0,0;1,1", "--maxdeg", "1"]) == 0
+    capsys.readouterr()
+    for argv in (["signature", "--path", "1,2", "--maxdeg", "0"], ["reproduce-paper"]):
+        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert parser.parse_args(["reproduce-paper"]).format == "json"
 
 
 def test_reproduce_paper_stdout_has_no_timing(capsys):

@@ -18,6 +18,7 @@ from sigvol.sigpoly import (
     integral_coefficients,
     pair,
     parse_polynomial,
+    path_pair,
     permute_control_points,
     pl_signature,
     polynomial_to_text,
@@ -164,6 +165,42 @@ def test_pl_signature_against_segment_fold():
         path = PLPath(points)
         assert pl_signature(path, maxdeg) == segment_fold_signature(path, maxdeg)
     assert doubled and zeros
+
+
+def test_path_pair_matches_the_full_signature():
+    rng = random.Random(31)
+    seen = {"lcm": 0, "zero": 0, "doubled": 0, "one_point": 0, "constant": 0, "open_prefix": 0}
+    for d, npoints in product(range(1, 5), range(1, 8)):
+        for _ in range(3):
+            points = []
+            for _ in range(npoints):
+                if points and rng.random() < 0.2:
+                    points.append(points[-1])
+                    seen["doubled"] += 1
+                else:
+                    points.append(tuple(
+                        qq(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 5, 7])) if rng.random() < 0.8 else qq(0)
+                        for _ in range(d)
+                    ))
+                    seen["zero"] += qq(0) in points[-1]
+            path = PLPath(points)
+            dens = {c.denominator for a in path.increments() for c in a}
+            seen["lcm"] += len(dens - {1}) > 1
+            seen["one_point"] += npoints == 1
+            terms = {
+                tuple(rng.randint(1, d) for _ in range(rng.randint(0, 5))): qq(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4))
+            }
+            x = TensorElement(d, terms)
+            seen["constant"] += () in x.terms
+            seen["open_prefix"] += any(len(w) > 1 and w[:-1] not in x.terms for w in x.terms)
+            assert path_pair(path, x) == pair(pl_signature(path, max(x.degree(), 1)), x), (points, terms)
+    assert all(seen.values()), seen
+
+
+def test_path_pair_rejects_an_alphabet_mismatch():
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        path_pair(PENTAGON, TensorElement.from_word(3, (1, 2, 3)))
 
 
 # -- path signatures ----------------------------------------------------------
