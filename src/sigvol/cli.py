@@ -21,6 +21,7 @@ from . import fixtures, verify
 from .exactq import qq
 from .freealg import (
     antipode,
+    check_text_alphabet,
     element_to_text,
     lyndon_words,
     parse_element,
@@ -75,7 +76,7 @@ def _checked(fn, *args):
 
 
 # lower bounds of the integer options, checked before any computation
-_MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1, "threads": 1}
+_MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1}
 
 
 def _check_ranges(args) -> None:
@@ -121,7 +122,7 @@ def _emit(data, fmt: str, text_render) -> None:
 
 def _space_output(basis, fmt: str, with_image: int | None = None) -> None:
     image = dim_image(basis, with_image) if with_image is not None else None
-    data = basis.to_json(dim_image=image)
+    data = _checked(basis.to_json, image)  # an empty basis prints no word, at any d
     _emit(
         data,
         fmt,
@@ -139,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact signature polynomials, positive-matrix stabilizers and volume invariants",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shuffle", help="shuffle product of two elements")
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilizer", help="positivity stabilizer subgroup of S_n")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "structural", "brute"), default="structural")
+    p.add_argument("--method", choices=("structural", "brute"), default="structural")
 
     p = sub.add_parser("gale", help="facets of the cyclic polytope by the evenness criterion")
     p.add_argument("--d", type=int, required=True)
@@ -289,28 +289,32 @@ def _dispatch(args) -> int:
         d = max(x.d, y.d)
         x, y = _checked(parse_element, args.x, d), _checked(parse_element, args.y, d)
         result = shuffle(x, y) if args.command == "shuffle" else concat(x, y)
-        _emit({"element": element_to_text(result)}, fmt, lambda data: data["element"])
+        _emit({"element": _checked(element_to_text, result)}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "antipode":
         x = _checked(parse_element, args.x, args.d)
-        _emit({"element": element_to_text(antipode(x))}, fmt, lambda data: data["element"])
+        _emit({"element": _checked(element_to_text, antipode(x))}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "vol":
+        _checked(check_text_alphabet, args.d)  # before the d! words are built
         letters = _checked(lambda: tuple(int(ch) for ch in args.letters)) if args.letters else None
         x = _checked(volume_element, args.d, letters)
         _emit({"element": element_to_text(x)}, fmt, lambda data: data["element"])
         return 0
 
     if args.command == "lyndon":
+        _checked(check_text_alphabet, args.d)
         words = ["".join(map(str, w)) for w in _checked(lyndon_words, args.d, args.k)]
         _emit({"d": args.d, "k": args.k, "count": len(words), "words": words}, fmt,
               lambda data: " ".join(data["words"]))
         return 0
 
     if args.command == "signature":
-        sig = pl_signature(_parse_path(args.path), args.maxdeg)
+        path = _parse_path(args.path)
+        _checked(check_text_alphabet, path.d)
+        sig = pl_signature(path, args.maxdeg)
         data = _signature_json(sig)
         _emit(data, fmt, lambda d: "\n".join(f"{w}: {c}" for w, c in d["coefficients"].items()))
         return 0

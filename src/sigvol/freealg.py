@@ -202,10 +202,15 @@ def lyndon_words(d: int, k: int) -> list[Word]:
 _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?([1-9]+|e)$")
 
 
+def check_text_alphabet(d: int) -> None:
+    """The text notation writes each letter as one digit, so its words need d <= 9."""
+    if d > 9:
+        raise ValueError("text notation renders letters as digits (d <= 9)")
+
+
 def element_to_text(x: TensorElement) -> str:
     """Canonical text form: terms sorted by degree then lexicographically."""
-    if x.d > 9:
-        raise ValueError("text notation renders letters as digits (d <= 9)")
+    check_text_alphabet(x.d)
     return signed_sum_text(
         (x.terms[w], "".join(map(str, w)) or "e") for w in sorted(x.terms, key=lambda w: (len(w), w))
     )

@@ -2,14 +2,15 @@
 
 A configuration of n points in R^d is *positive* when every maximal minor of
 the (d+1) x n matrix obtained by prepending a row of ones is strictly
-positive; increasing parameters on the moment curve always produce one.  The
+positive.  Increasing parameters on the moment curve always produce one (each
+minor is a Vandermonde product), so such instances are built unchecked.  The
 subgroup of S_n whose column permutations preserve positivity is computed two
 ways: by an exhaustive, GF(2)-pruned search of S_n with a purely
 combinatorial criterion (a permuted minor equals the sorted minor times the
 sign of the sorting permutation, so positivity survives exactly when every
 (d+1)-subset keeps an even inversion count), and structurally from
 case-by-case generator constructions depending on the parities of d and
-(d +- small).
+(d +- small).  A group is its generators; its elements are enumerated on first use.
 
 Facets of the convex hull come from the evenness criterion on index gaps,
 with an exact determinant-sign test as an independent check, and the
@@ -116,29 +117,32 @@ def _closure(n: int, generators: Sequence[Permutation]) -> set[Permutation]:
 
 
 class PermGroup:
-    """Explicit finite subgroup of S_n with a chosen generator list (the identity dropped)."""
+    """Subgroup of S_n given by its generators (identity dropped); elements enumerated on first use."""
 
-    __slots__ = ("n", "elements", "generators", "structure_tag", "_members")
+    __slots__ = ("n", "generators", "structure_tag", "_elements")
 
-    def __init__(self, n: int, elements: Iterable[Permutation], generators: Iterable[Permutation], structure_tag: str):
+    def __init__(self, n: int, elements: Iterable[Permutation] | None, generators: Iterable[Permutation], structure_tag: str):
         self.n = n
-        self._members = set(elements)
-        self.elements = sorted(self._members, key=lambda p: p.images)
+        self._elements = None if elements is None else sorted(elements)  # None: enumerated on first use
         self.generators = [g for g in generators if not g.is_identity()]
         self.structure_tag = structure_tag
-        if Permutation.identity(n) not in self._members:
-            raise ValueError("a group must contain the identity")
 
     @classmethod
     def generated(cls, n: int, generators: Sequence[Permutation], structure_tag: str) -> "PermGroup":
-        return cls(n, _closure(n, generators), generators, structure_tag)
+        return cls(n, None, generators, structure_tag)
+
+    @property
+    def elements(self) -> list[Permutation]:
+        if self._elements is None:
+            self._elements = sorted(_closure(self.n, self.generators))
+        return self._elements
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in self._members
+        return perm in self.elements
 
     def same_elements(self, other: "PermGroup") -> bool:
         return self.n == other.n and self.elements == other.elements
@@ -209,14 +213,18 @@ class CyclicInstance:
 
 
 def moment_curve_instance(d: int, n: int, params: Sequence) -> CyclicInstance:
-    """Points (t, t^2, ..., t^d) for strictly increasing rational parameters."""
+    """Points (t, t^2, ..., t^d) for strictly increasing rational parameters, positive by construction:
+    the lifted minor on columns i_0 < ... < i_d is the Vandermonde product of t_j - t_i, i < j."""
     ts = [qq(t) for t in params]
     if len(ts) != n:
         raise ValueError(f"expected {n} parameters, got {len(ts)}")
     if any(a >= b for a, b in zip(ts, ts[1:])):
         raise ValueError("parameters must be strictly increasing")
-    points = [tuple(t**k for k in range(1, d + 1)) for t in ts]
-    return CyclicInstance(PLPath(points))
+    if n < d + 1:
+        raise ValueError(f"need at least d+1 = {d + 1} points, got {n}")
+    instance = object.__new__(CyclicInstance)
+    instance.path, instance.d, instance.n = PLPath([tuple(t**k for k in range(1, d + 1)) for t in ts]), d, n
+    return instance
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,19 @@ def test_output_byte_stable(capsys):
     assert first == second
 
 
-def test_threads_flag_gives_identical_results(capsys):
-    run(["kernel-space", "--d", "2", "--n", "3", "--k", "3"])
-    single = capsys.readouterr().out
-    run(["--threads", "4", "kernel-space", "--d", "2", "--n", "3", "--k", "3"])
-    multi = capsys.readouterr().out
-    assert single == multi
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--threads", "0", "lyndon", "--d", "2", "--k", "3"],
+        ["--threads", "4", "kernel-space", "--d", "2", "--n", "3", "--k", "3"],
+        ["stabilizer", "--d", "3", "--n", "4", "--method", "auto"],
+    ],
+    ids=["threads-0", "threads-4", "method-auto"],
+)
+def test_deleted_options_are_rejected(argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
 
 
 def test_usage_error_exit_code():
@@ -179,7 +186,16 @@ def test_loopclosure_space_command(capsys):
         ["check-element", "--fixture", "invariants_d3_n4.txt", "--n", "3"],
         ["reproduce-paper", "--only", "99"],
         ["--format", "text", "reproduce-paper", "--only", "99"],
-        ["--threads", "0", "lyndon", "--d", "2", "--k", "3"],
+        # the text notation writes each letter as one digit, so printed words need d <= 9
+        ["vol", "--d", "10"],
+        ["shuffle", "1", "2", "--d", "10"],
+        ["concat", "1", "2", "--d", "10"],
+        ["antipode", "1", "--d", "10"],
+        ["lyndon", "--d", "11", "--k", "2"],
+        ["signature", "--path", "0,0,0,0,0,0,0,0,0,0,0;1,2,3,4,5,6,7,8,9,10,11", "--maxdeg", "2"],
+        ["kernel-space", "--d", "10", "--n", "2", "--k", "2"],
+        ["timerev-space", "--d", "10", "--k", "2"],
+        ["volume", "--moment-curve", "0,1", "--d", "2"],  # fewer than d+1 points
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -188,6 +204,25 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("sigvol: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["timerev-space", "--d", "10", "--k", "1"],  # an empty basis prints no word
+        ["inv-d", "--d", "10", "--k", "2"],
+        ["inv-space", "--d", "10", "--n", "11", "--k", "2"],
+        ["hmap", "1", "--n", "2", "--d", "10"],
+        ["pair", "--path", "0,0,0,0,0,0,0,0,0,0;1,2,3,4,5,6,7,8,9,10", "--element", "1", "--d", "10"],
+        ["stabilizer", "--d", "10", "--n", "13"],
+        ["gale", "--d", "10", "--n", "12"],
+    ],
+)
+def test_verbs_that_print_no_word_run_above_nine_letters(capsys, argv):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)
 
 
 @pytest.mark.parametrize(

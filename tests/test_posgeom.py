@@ -1,10 +1,13 @@
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
 
+from sigvol import fixtures, posgeom
 from sigvol.exactq import qq
 from sigvol.freealg import permutation_sign
+from sigvol.invariants import conjecture_evidence, inv_d_space, invariant_space, is_invariant
 from sigvol.posgeom import (
     CyclicInstance,
     DegenerateFacetError,
@@ -75,6 +78,51 @@ def test_full_group_on_one_and_two_points():
     assert named_group("full", 2).order == 2
 
 
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """The (n, generators) of every `posgeom._closure` call made while the test runs."""
+    calls = []
+    closure = posgeom._closure
+
+    def counted(n, generators):
+        calls.append((n, list(generators)))
+        return closure(n, generators)
+
+    monkeypatch.setattr(posgeom, "_closure", counted)
+    return calls
+
+
+def test_invariant_solves_never_enumerate_a_group(closure_calls):
+    # smallest groups first, so a solve that enumerates fails before it lists A_10 or A_11
+    shared = {}
+    for name in ("w1", "w2"):
+        assert is_invariant(fixtures.element(name), 3, 4, shared)
+    assert conjecture_evidence(8, 1)["verdict"] == "consistent"
+    assert closure_calls == []
+    for d in range(3, 11):
+        inv_d_space(d, 2)
+        assert closure_calls == [], d
+    # A_10 has 1,814,400 elements; the invariance condition reads its 8 generators only
+    assert invariant_space(9, 10, 2, stabilizer_structural(9, 10)).dim == 0
+    assert closure_calls == []
+
+
+def test_elements_are_enumerated_once(closure_calls):
+    group = stabilizer_structural(4, 6)
+    assert closure_calls == []
+    first = group.elements
+    assert group.elements is first
+    assert group.order == len(first) and first[0] in group
+    assert len(closure_calls) == 1
+
+
+@pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (4, 6), (2, 7), (4, 7), (6, 8), (7, 8)])
+def test_structural_elements_are_the_sorted_closure(d, n):
+    group = stabilizer_structural(d, n)
+    expected = sorted(posgeom._closure(n, group.generators), key=lambda p: p.images)
+    assert group.elements == expected
+
+
 # -- positivity ----------------------------------------------------------------
 
 
@@ -107,6 +155,34 @@ def test_moment_curve_validation():
     assert inst.d == 3 and inst.n == 6
     one = moment_curve_instance(1, 4, [qq(-1), qq(0), qq(1, 2), qq(7)])
     assert is_positive_matrix(one.path)
+
+
+def test_moment_curve_instances_are_positive():
+    # moment_curve_instance relies on the Vandermonde argument; every minor is checked here
+    rng = random.Random(1606)
+    for d in range(1, 6):
+        for n in range(d + 1, 10):
+            ts = set()
+            while len(ts) < n:
+                ts.add(qq(rng.randint(-40, 40), rng.randint(1, 9)))
+            ts = sorted(ts)
+            assert is_positive_matrix(moment_curve_instance(d, n, ts).path), (d, n, ts)
+
+
+def test_moment_curve_needs_d_plus_one_points():
+    with pytest.raises(ValueError, match=r"^need at least d\+1 = 3 points, got 2$"):
+        moment_curve_instance(2, 2, [0, 1])
+    # the parameter checks come first
+    with pytest.raises(ValueError, match="expected 3 parameters"):
+        moment_curve_instance(2, 3, [1, 0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        moment_curve_instance(2, 2, [1, 0])
+
+
+def test_cyclic_instance_rejects_a_non_positive_configuration():
+    reversed_pentagon = moment_curve_instance(2, 5, [0, 1, 2, 3, 4]).path.reversed()
+    with pytest.raises(ValueError, match="not positive"):
+        CyclicInstance(reversed_pentagon)
 
 
 def test_pentagon_points_explicit():
