@@ -1,18 +1,16 @@
 """Exact signature polynomials of piecewise linear paths, positive-matrix
 stabilizers, and graded bases of permutation-invariant signature elements."""
 
-from .exactq import QQ, MatrixBuilder, SparseMatrixQ, SubspaceQ, det_q, intersect, nullspace, qq, rank
+from .exactq import QQ, MatrixBuilder, SparseMatrixQ, SubspaceQ, det_q, intersect, nullspace, qq
 from .freealg import (
     TensorElement,
     antipode,
     concat,
-    deconcat_pairs,
     element_to_text,
     lyndon_words,
     parse_element,
     shuffle,
     shuffle_power,
-    timerev_project,
     volume_element,
 )
 from .invariants import (
@@ -30,10 +28,8 @@ from .invariants import (
 )
 from .posgeom import (
     CyclicInstance,
-    DegenerateFacetError,
     PermGroup,
     Permutation,
-    facet_check_det,
     gale_facets,
     is_positive_matrix,
     moment_curve_instance,
@@ -51,7 +47,6 @@ from .sigpoly import (
     pair,
     parse_polynomial,
     path_pair,
-    permute_control_points,
     pl_signature,
     polynomial_to_text,
     signature_polynomial,

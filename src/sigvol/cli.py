@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import fixtures, verify
 from .exactq import qq
@@ -93,13 +94,12 @@ def _parse_path(text: str) -> PLPath:
 
 def _load_fixture(spec: str, d: int | None):
     """Fixture elements from a filesystem path or a bundled file name."""
-    if os.path.exists(spec):
-        with open(spec) as handle:
-            return _checked(parse_fixture_elements, handle.read(), d)
     try:
-        text = fixtures.fixture_text(spec)
+        text = Path(spec).read_text(encoding="utf-8") if os.path.exists(spec) else fixtures.fixture_text(spec)
     except FileNotFoundError:
         raise UsageError(f"fixture not found: {spec}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read fixture {spec}: {exc}") from None
     return _checked(parse_fixture_elements, text, d)
 
 

@@ -281,13 +281,6 @@ class SubspaceQ:
     def full(cls, ambient_dim: int) -> "SubspaceQ":
         return cls(ambient_dim, [{i: Q1} for i in range(ambient_dim)], _canonical=True)
 
-    @classmethod
-    def from_dense(cls, vectors: Iterable[Sequence[QQ]], ambient_dim: int) -> "SubspaceQ":
-        rows = []
-        for vec in vectors:
-            rows.append({i: QQ(v) for i, v in enumerate(vec) if v != 0})
-        return cls(ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -303,20 +296,6 @@ class SubspaceQ:
 
     def contains(self, vector: Mapping[int, QQ]) -> bool:
         return not self.reduce(vector)
-
-    def contains_subspace(self, other: "SubspaceQ") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains(row) for row in other.basis)
-
-    def dense_basis(self) -> list[list[QQ]]:
-        out = []
-        for row in self.basis:
-            vec = [Q0] * self.ambient_dim
-            for c, v in row.items():
-                vec[c] = v
-            out.append(vec)
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -433,11 +412,6 @@ def nullspace(matrix: SparseMatrixQ) -> SubspaceQ:
     return SubspaceQ(matrix.ncols, [basis[f] for f in sorted(basis)], _canonical=True)
 
 
-def rank(matrix: SparseMatrixQ) -> int:
-    """Exact rank; rank + dim nullspace = ncols."""
-    return matrix.ncols - nullspace(matrix).dim
-
-
 def intersect(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
     """Exact intersection of two subspaces of the same ambient space."""
     if a.ambient_dim != b.ambient_dim:
@@ -459,12 +433,6 @@ def intersect(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
     # basis is reduced echelon again, so no second elimination runs
     vectors = [combine((lam, a.basis[j]) for j, lam in sol.items() if j < da) for sol in ns.basis]
     return SubspaceQ(a.ambient_dim, vectors, _canonical=True)
-
-
-def sum_spaces(a: SubspaceQ, b: SubspaceQ) -> SubspaceQ:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return SubspaceQ(a.ambient_dim, list(a.basis) + list(b.basis))
 
 
 def det_q(rows: Sequence[Sequence[QQ]]) -> QQ:

@@ -3,9 +3,9 @@
 Elements are sparse rational linear combinations of words; their linear
 structure and grading come from `exactq.SparseTerms`, and concatenation is
 `exactq.add_product` on words.  The module provides the shuffle product,
-concatenation, the deconcatenation splittings, the antipode (signed word
-reversal), the signed-volume element, Lyndon word enumeration, and a
-plain-text notation with a round-tripping parser.
+concatenation, the antipode (signed word reversal), the signed-volume
+element, Lyndon word enumeration, and a plain-text notation with a
+round-tripping parser.
 
 Antipode sign convention: a word w maps to (-1)**len(w) times its reversal.
 This is the unique convention adjoint to path time reversal, i.e. the one
@@ -122,21 +122,10 @@ def concat(x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement(x.d, add_product({}, x.terms, y.terms))
 
 
-def deconcat_pairs(w: Word) -> list[tuple[Word, Word]]:
-    """All prefix/suffix splittings of a word, in order."""
-    w = tuple(w)
-    return [(w[:j], w[j:]) for j in range(len(w) + 1)]
-
-
 def antipode(x: TensorElement) -> TensorElement:
     """Signed reversal w -> (-1)**len(w) * reversed(w), extended linearly."""
     # reversal is a bijection on words, so no two terms meet
     return TensorElement(x.d, {w[::-1]: c if len(w) % 2 == 0 else -c for w, c in x.terms.items()})
-
-
-def timerev_project(x: TensorElement) -> TensorElement:
-    """x + antipode(x); the image is exactly the antipode-fixed subspace."""
-    return x + antipode(x)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ sign of the sorting permutation, so positivity survives exactly when every
 case-by-case generator constructions depending on the parities of d and
 (d +- small).  A group is its generators; its elements are enumerated on first use.
 
-Facets of the convex hull come from the evenness criterion on index gaps,
-with an exact determinant-sign test as an independent check, and the
+Facets of the convex hull come from the evenness criterion on index gaps
+(the tests check it against an exact determinant-sign test), and the
 d-dimensional volume is computed both by triangulating over vertex 1 and as
 the signed-volume pairing of the boundary path.
 """
@@ -29,10 +29,6 @@ from .freealg import permutation_sign, volume_element
 from .sigpoly import PLPath, path_pair
 
 BRUTE_FORCE_LIMIT = 9
-
-
-class DegenerateFacetError(ValueError):
-    """A facet determinant vanished; the configuration is degenerate."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +112,24 @@ def _closure(n: int, generators: Sequence[Permutation]) -> set[Permutation]:
     return {Permutation(e) for e in seen}
 
 
+# the order on n points of each structure the constructions below build; other groups count their elements
+_ORDERS = {
+    "trivial": lambda n: 1,
+    "Z/2": lambda n: 2,
+    "Z/n": lambda n: n,
+    "D_n": lambda n: 2 * n if n > 2 else n,
+    "S_n": math.factorial,
+    "A_n": lambda n: math.factorial(n) // 2,
+    "A_n∩(SxS)": lambda n: math.factorial((n + 1) // 2) * math.factorial(n // 2) // 2,
+    "(A_n∩(SxS))⋊Z/2": lambda n: math.factorial(n // 2) ** 2,
+    "ker phi": lambda n: math.factorial(n // 2) ** 2,
+}
+
+
 class PermGroup:
-    """Subgroup of S_n given by its generators (identity dropped); elements enumerated on first use."""
+    """Subgroup of S_n given by its generators (identity dropped); elements enumerated on first use.
+
+    A structure tag in `_ORDERS` asserts the group's structure and fixes its order with no enumeration."""
 
     __slots__ = ("n", "generators", "structure_tag", "_elements")
 
@@ -139,7 +151,8 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        order = _ORDERS.get(self.structure_tag)
+        return len(self.elements) if order is None else order(self.n)
 
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self.elements
@@ -232,24 +245,6 @@ def moment_curve_instance(d: int, n: int, params: Sequence) -> CyclicInstance:
 # ---------------------------------------------------------------------------
 
 
-def stabilizes_positivity(perm: Permutation, d: int) -> bool:
-    """Combinatorial membership test, independent of any concrete instance.
-
-    Relabeling columns by the permutation turns the minor on an increasing
-    index set I into the sorted minor times the sign of the sequence
-    (perm(i) for i in I), so positivity is preserved exactly when every such
-    sequence has an even inversion count.
-    """
-    n = perm.n
-    if n < d + 1:
-        raise ValueError("need n >= d+1")
-    images = perm.images
-    for subset in combinations(range(n), d + 1):
-        if permutation_sign([images[i] for i in subset]) < 0:
-            return False
-    return True
-
-
 def _criterion_echelon(d: int, n: int) -> list[list[int]]:
     """The inversion-parity criterion in echelon form over GF(2), rows grouped by check position.
 
@@ -288,7 +283,8 @@ def stabilizer_bruteforce(d: int, n: int) -> PermGroup:
     odd row is a sum of criterion rows on assigned positions only, so no
     completion of the prefix passes, and the prefix is cut.  The rows span
     the criterion, so a full permutation with every row even passes it.  The
-    search keeps exactly what filtering all of S_n keeps, in the same order.
+    search keeps exactly what filtering all of S_n keeps, in the same order;
+    that filter survives only as a test oracle.
     """
     if n < d + 1:
         raise ValueError("need n >= d+1")
@@ -374,6 +370,8 @@ def stabilizer_structural(d: int, n: int) -> PermGroup:
     Case split on the parity of d, on n - d, and on the parity of (d+1)/2
     or d/2; brute-force equality for small n is part of the test suite.
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     if n < d + 1:
         raise ValueError("need n >= d+1")
     if d % 2 == 1:
@@ -401,17 +399,6 @@ def stabilizer_structural(d: int, n: int) -> PermGroup:
     if (d // 2) % 2 == 0:
         return named_group("dihedral", n)
     return named_group("cyclic", n)
-
-
-def kaibel_wassmer_order(d: int, n: int) -> int:
-    """Order of the full combinatorial automorphism group of the polytope."""
-    if n == d + 1:
-        return math.factorial(n)
-    if n == d + 2:
-        if d % 2 == 0:
-            return 2 * math.factorial(n // 2) ** 2
-        return math.factorial((n + 1) // 2) * math.factorial(n // 2)
-    return 2 * n if d % 2 == 0 else 4
 
 
 # ---------------------------------------------------------------------------
@@ -444,37 +431,6 @@ def gale_facets(d: int, n: int) -> list[tuple[int, ...]]:
         if ok:
             facets.append(subset)
     return facets
-
-
-def facet_check_det(instance: "CyclicInstance | PLPath", index_set: Sequence[int]) -> bool:
-    """Determinant-sign facet test: one strict sign over all remaining vertices.
-
-    Accepts a positive instance or a bare path; a vanishing determinant
-    (affinely dependent vertices) raises DegenerateFacetError rather than
-    being silently signed.
-    """
-    path = instance.path if isinstance(instance, CyclicInstance) else instance
-    subset = tuple(index_set)
-    if len(subset) != path.d:
-        raise ValueError(f"facet candidate must have {path.d} vertices")
-    cols = _lifted_columns(path)
-    sign = 0
-    for j in range(1, path.n + 1):
-        if j in subset:
-            continue
-        rows = [
-            [cols[i - 1][r] for i in subset] + [cols[j - 1][r]]
-            for r in range(path.d + 1)
-        ]
-        det = det_q(rows)
-        if det == 0:
-            raise DegenerateFacetError(f"vertices {subset + (j,)} are affinely dependent")
-        s = 1 if det > 0 else -1
-        if sign == 0:
-            sign = s
-        elif sign != s:
-            return False
-    return True
 
 
 def polytope_volume(instance: CyclicInstance) -> QQ:

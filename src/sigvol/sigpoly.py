@@ -572,14 +572,6 @@ def permutation_substitution(d: int, n: int, sigma: Sequence[int]) -> LinearSubs
     return LinearSubstitution(d, n, n, forms)
 
 
-def permute_control_points(p: IncrementPolynomial, sigma: Sequence[int]) -> IncrementPolynomial:
-    """Re-express p(x_{sigma(1)}, ..., x_{sigma(n)}) in the original increments."""
-    images = tuple(sigma)
-    if images == tuple(range(1, p.n + 1)):
-        return p
-    return permutation_substitution(p.d, p.n, images).apply(p)
-
-
 def substitute_collinear(p: IncrementPolynomial, i: int, lam) -> IncrementPolynomial:
     """Substitute x_i := lam*x_{i-1} + (1-lam)*x_{i+1} and drop the point.
 

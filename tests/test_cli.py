@@ -106,6 +106,20 @@ def test_check_element_failure_exit_code(tmp_path, capsys):
     assert data["pass"] is False
 
 
+def test_unreadable_fixture_is_a_usage_error(tmp_path, capsys):
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"name: x\n\xff1\n")
+    for argv in (
+        ["check-element", "--fixture", str(tmp_path), "--n", "4"],  # a directory
+        ["pair", "--path", "0,0;1,1", "--fixture", str(not_utf8)],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sigvol: error: cannot read fixture ")
+        assert captured.err.count("\n") == 1
+
+
 def test_conjecture_command(capsys):
     code, data = run_json(capsys, ["conjecture", "--d", "2", "--k", "2"])
     assert code == 0

@@ -9,7 +9,6 @@ from sigvol.freealg import (
     TensorElement,
     antipode,
     concat,
-    deconcat_pairs,
     element_to_text,
     lyndon_words,
     parse_element,
@@ -17,9 +16,10 @@ from sigvol.freealg import (
     permutation_sign,
     shuffle,
     shuffle_power,
-    timerev_project,
     volume_element,
 )
+
+from oracles import deconcat_pairs, timerev_project
 
 
 def word_el(d, *letters, coeff=1):

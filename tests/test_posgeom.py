@@ -10,24 +10,28 @@ from sigvol.freealg import permutation_sign
 from sigvol.invariants import conjecture_evidence, inv_d_space, invariant_space, is_invariant
 from sigvol.posgeom import (
     CyclicInstance,
-    DegenerateFacetError,
     PermGroup,
     Permutation,
     _criterion_echelon,
-    facet_check_det,
     gale_facets,
     is_positive_matrix,
-    kaibel_wassmer_order,
     moment_curve_instance,
     named_group,
     polytope_volume,
     signed_volume,
     stabilizer_bruteforce,
     stabilizer_structural,
-    stabilizes_positivity,
 )
 from sigvol.sigpoly import PLPath
 from sigvol.verify import STABILIZER_TABLE
+
+from oracles import (
+    DegenerateFacetError,
+    facet_check_det,
+    kaibel_wassmer_order,
+    permute_control_points,
+    stabilizes_positivity,
+)
 
 
 # -- permutations --------------------------------------------------------------
@@ -114,6 +118,38 @@ def test_elements_are_enumerated_once(closure_calls):
     assert group.elements is first
     assert group.order == len(first) and first[0] in group
     assert len(closure_calls) == 1
+
+
+def test_large_group_json_is_not_enumerated(closure_calls):
+    # A_10: the order comes from its structure tag, and no element list is printed above order 100
+    data = stabilizer_structural(9, 10).to_json()
+    assert closure_calls == []
+    assert data["order"] == 1814400 and "elements" not in data
+
+
+def test_untagged_group_is_counted_on_first_use(closure_calls):
+    group = PermGroup.generated(5, [Permutation((2, 3, 4, 5, 1))], "custom")
+    assert closure_calls == []
+    assert group.order == 5 and len(closure_calls) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_structural_orders_are_the_closure_lengths(n):
+    for d in range(1, n):
+        group = stabilizer_structural(d, n)
+        assert group.order == len(posgeom._closure(n, group.generators)), (d, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_named_group_orders_are_the_closure_lengths(n):
+    for name in posgeom.GROUP_NAMES:
+        group = named_group(name, n)
+        assert group.order == len(posgeom._closure(n, group.generators)), name
+
+
+def test_structural_construction_needs_d_at_least_one():
+    with pytest.raises(ValueError):
+        stabilizer_structural(0, 2)
 
 
 @pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (4, 6), (2, 7), (4, 7), (6, 8), (7, 8)])
@@ -333,7 +369,7 @@ def test_structural_groups_beyond_bruteforce_range():
 
 def test_every_stabilizer_element_fixes_volume_polynomial():
     from sigvol.freealg import volume_element
-    from sigvol.sigpoly import SigPolyCalculator, permute_control_points
+    from sigvol.sigpoly import SigPolyCalculator
 
     for d, n in ((2, 4), (2, 5), (3, 4), (3, 5)):
         poly = SigPolyCalculator(d, n).element_poly(volume_element(d))

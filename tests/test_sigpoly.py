@@ -19,12 +19,13 @@ from sigvol.sigpoly import (
     pair,
     parse_polynomial,
     path_pair,
-    permute_control_points,
     pl_signature,
     polynomial_to_text,
     signature_polynomial,
     substitute_collinear,
 )
+
+from oracles import permute_control_points
 
 
 def random_path(rng, d, n):
