@@ -397,6 +397,13 @@ def _dispatch(args) -> int:
 
     if args.command == "check-element":
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
+        if not checks:
+            raise UsageError(f"--check names no check: {args.check!r}")
+        for check in checks:
+            if check not in ("invariant", "kernel", "timerev", "loopclosure"):
+                raise UsageError(f"unknown check {check!r}")
+            if check in ("invariant", "kernel") and args.n is None:
+                raise UsageError(f"check {check!r} needs --n")
         elements = _load_fixture(args.fixture, args.d)
         report = {}
         ok = True
@@ -406,23 +413,17 @@ def _dispatch(args) -> int:
             entry = {}
             for check in checks:
                 if check == "invariant":
-                    if args.n is None:
-                        raise UsageError("check 'invariant' needs --n")
                     if args.n < x.d + 1:
                         raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
                     entry[check] = is_invariant(x, x.d, args.n, invariance)
                 elif check == "kernel":
-                    if args.n is None:
-                        raise UsageError("check 'kernel' needs --n")
                     if x.d not in calculators:
                         calculators[x.d] = SigPolyCalculator(x.d, args.n)
                     entry[check] = calculators[x.d].element_poly(x).is_zero()
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
-                elif check == "loopclosure":
-                    entry[check] = loopclosure_membership(x, segments=args.segments)
                 else:
-                    raise UsageError(f"unknown check {check!r}")
+                    entry[check] = loopclosure_membership(x, segments=args.segments)
                 ok = ok and entry[check]
             report[name] = entry
         _emit({"checks": report, "pass": ok}, fmt,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Mapping
 
 from .exactq import Q1, QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace, rref_rows
 from .freealg import TensorElement, Word, antipode, element_to_text, shuffle_power, volume_element
@@ -121,18 +121,30 @@ def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict
     return SigPolyCalculator(d, m + 1).closure_differences
 
 
-def _solve(rows: list[dict[Word, int]], conditions) -> SubspaceQ:
+def _solve(rows: list[Mapping[Word, QQ]], conditions) -> SubspaceQ:
     """The combinations of the rows whose condition polynomials all vanish.
 
-    Each row is one word combination with integer coefficients, and all rows
-    must share one scale (as words of one degree, or elements brought to one
-    common denominator): scaling columns apart would change the kernel.
+    Each row is one rational word combination.  The rows are brought to one
+    common denominator, so every column carries the same scale: scaling the
+    columns alike keeps the kernel, scaling them apart would not.
     """
+    rows, _ = integral_coefficients(rows)
     builder = MatrixBuilder(len(rows))
     for c, row in enumerate(rows):
         diffs = conditions(row)
         builder.add_column(c, {(i, mono): v for i, diff in enumerate(diffs) for mono, v in diff.items()})
     return nullspace(builder.build())
+
+
+def _meets(x: TensorElement, conditions) -> bool:
+    """Whether every condition polynomial of the element x vanishes.
+
+    x is scaled once, by its common denominator D, so the degree-k part of its
+    packed polynomial comes out scaled by D * k!; the conditions keep degrees,
+    so they vanish on the scaled parts exactly when they vanish on x.
+    """
+    (coeffs,), _ = integral_coefficients([x.terms])
+    return not any(conditions(coeffs))
 
 
 def _cut(d: int, k: int, conditions) -> SubspaceQ:
@@ -175,8 +187,7 @@ def _cut(d: int, k: int, conditions) -> SubspaceQ:
             break
         for content, basis in dominant.items():
             if basis:
-                rows, _ = integral_coefficients([{words[c]: v for c, v in row.items()} for row in basis])
-                solutions = _solve(rows, condition)
+                solutions = _solve([{words[c]: v for c, v in row.items()} for row in basis], condition)
                 dominant[content] = [
                     combine((lam, basis[j]) for j, lam in sol.items()) for sol in solutions.basis
                 ]
@@ -232,14 +243,10 @@ def loopclosure_membership(x: TensorElement, segments: int | None = None) -> boo
     Checked as two exact polynomial identities per homogeneous part, with
     m = deg(part) segments before closure (overridable).
     """
-    for k, part in x.graded_parts().items():
-        if k == 0:
-            continue
-        m = segments if segments is not None else k
-        (coeffs,), _ = integral_coefficients([part.terms])
-        if any(_closure_conditions(x.d, m)(coeffs)):
-            return False
-    return True
+    return all(
+        _meets(part, _closure_conditions(x.d, segments if segments is not None else k))
+        for k, part in x.graded_parts().items() if k
+    )
 
 
 def loopclosure_combinations(elements: list[TensorElement], segments: int) -> SubspaceQ:
@@ -247,8 +254,7 @@ def loopclosure_combinations(elements: list[TensorElement], segments: int) -> Su
 
     The coordinates of the returned subspace are coefficients on `elements`.
     """
-    rows, _ = integral_coefficients([x.terms for x in elements])
-    return _solve(rows, _closure_conditions(elements[0].d, segments))
+    return _solve([x.terms for x in elements], _closure_conditions(elements[0].d, segments))
 
 
 def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasis:
@@ -302,10 +308,7 @@ def is_invariant(x: TensorElement, d: int, n: int, conditions: dict | None = Non
     conditions = {} if conditions is None else conditions
     if (d, n) not in conditions:
         conditions[d, n] = _group_conditions(d, n, stabilizer_structural(d, n).generators)
-    # each graded part comes out scaled by its own positive factor; substitutions
-    # keep degrees, so invariance of the scaled parts is invariance of x
-    (coeffs,), _ = integral_coefficients([x.terms])
-    return not any(conditions[d, n](coeffs))
+    return _meets(x, conditions[d, n])
 
 
 def dim_image(basis: GradedBasis, n: int) -> int:
@@ -314,8 +317,7 @@ def dim_image(basis: GradedBasis, n: int) -> int:
         return 0
     # the rank of the basis elements' polynomial columns
     calc = SigPolyCalculator(basis.d, n)
-    rows, _ = integral_coefficients([x.terms for x in basis.elements])
-    return basis.dim - _solve(rows, lambda row: [calc.combination(row)]).dim
+    return basis.dim - _solve([x.terms for x in basis.elements], lambda row: [calc.combination(row)]).dim
 
 
 def conjecture_evidence(d: int, k: int) -> dict:

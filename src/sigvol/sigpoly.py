@@ -459,10 +459,7 @@ class SigPolyCalculator:
         return IncrementPolynomial(self.d, self.n, out)
 
     def word_poly(self, word: Iterable[int]) -> IncrementPolynomial:
-        w = tuple(word)
-        if any(not 1 <= letter <= self.d for letter in w):
-            raise ValueError("word letters outside the alphabet")
-        return self._to_polynomial(self._poly(1, w), 1)
+        return self.element_poly(TensorElement(self.d, {tuple(word): 1}))
 
     def element_poly(self, x: TensorElement) -> IncrementPolynomial:
         if x.d != self.d:
@@ -490,9 +487,10 @@ def signature_polynomial(x, n: int, d: int | None = None) -> IncrementPolynomial
 class LinearSubstitution:
     """Substitute every increment variable by a linear form in new variables.
 
-    `forms[v]` lists (target variable, coefficient) pairs.  Expansions are
-    cached per packed monomial, which matters when the same substitution is
-    applied to the polynomials of a whole graded batch of words.  Integral
+    `forms[v]` lists (target variable, coefficient) pairs; each form is packed
+    once.  A monomial expands as the product of powers of its variables'
+    forms, cached per packed monomial (the one cache), since one substitution
+    is applied to the polynomials of a whole graded batch of words.  Integral
     form coefficients are kept as ints, so permutations map integer
     polynomials to integer polynomials; rational ones (collinear merges)
     carry QQ through the same code.
@@ -504,23 +502,11 @@ class LinearSubstitution:
         self.n_out = n_out
         self._nvars_in = (n_in - 1) * d
         self._nvars_out = (n_out - 1) * d
-        self.forms = {v: tuple((t, _int_if_integral(c)) for t, c in form) for v, form in forms.items()}
-        if set(self.forms) != set(range(self._nvars_in)):
+        if set(forms) != set(range(self._nvars_in)):
             raise ValueError("every input variable needs a substitution form")
-        self._pow_cache: dict[tuple[int, int], Packed] = {}
+        self._forms = [combine((_int_if_integral(c), {_unit(t): 1}) for t, c in forms[v])
+                       for v in range(self._nvars_in)]
         self._mono_cache: dict[int, Packed] = {}
-
-    def _power(self, var: int, e: int) -> Packed:
-        key = (var, e)
-        cached = self._pow_cache.get(key)
-        if cached is not None:
-            return cached
-        if e == 1:
-            result = combine((coeff, {_unit(target): 1}) for target, coeff in self.forms[var])
-        else:
-            result = add_product({}, self._power(var, e - 1), self._power(var, 1))
-        self._pow_cache[key] = result
-        return result
 
     def _expand_monomial(self, mono: int) -> Packed:
         cached = self._mono_cache.get(mono)
@@ -529,7 +515,10 @@ class LinearSubstitution:
         result: Packed = {0: 1}
         for var, e in enumerate(_unpack(mono, self._nvars_in)):
             if e:
-                result = add_product({}, result, self._power(var, e))
+                power = self._forms[var]
+                for _ in range(e - 1):
+                    power = add_product({}, power, self._forms[var])
+                result = add_product({}, result, power)
         self._mono_cache[mono] = result
         return result
 

@@ -210,6 +210,7 @@ def test_loopclosure_space_command(capsys):
         ["kernel-space", "--d", "10", "--n", "2", "--k", "2"],
         ["timerev-space", "--d", "10", "--k", "2"],
         ["volume", "--moment-curve", "0,1", "--d", "2"],  # fewer than d+1 points
+        ["check-element", "--fixture", "invariants_d3_n4.txt", "--check", ","],  # names no check
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -218,6 +219,27 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("sigvol: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "checks,n,message",
+    [
+        ("bogus", "4", "unknown check 'bogus'"),
+        (",", "4", "--check names no check: ','"),
+        ("invariant", None, "check 'invariant' needs --n"),
+        ("timerev,kernel", None, "check 'kernel' needs --n"),
+        ("kernel,bogus", "6", "unknown check 'bogus'"),
+    ],
+)
+def test_check_list_is_checked_before_the_fixture(capsys, tmp_path, checks, n, message):
+    # a fixture with no element still rejects a bad --check list
+    fixture = tmp_path / "empty.txt"
+    fixture.write_text("# no element\n", encoding="utf-8")
+    argv = ["check-element", "--fixture", str(fixture), "--check", checks] + (["--n", n] if n else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sigvol: error: {message}\n"
 
 
 @pytest.mark.parametrize(

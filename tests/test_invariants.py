@@ -120,6 +120,15 @@ def test_dim_image_of_volume_span():
     assert dim_image(basis, 4) == 1
 
 
+def test_dim_image_of_rescaled_basis_elements():
+    # elements with different denominators share one column scale in the solve
+    for d, n, k in ((3, 4, 5), (3, 4, 6), (2, 5, 4)):
+        basis = invariant_space(d, n, k, stabilizer_structural(d, n))
+        scales = [qq(j + 2, 2 * j + 3) for j in range(basis.dim)]
+        rescaled = GradedBasis(d, k, basis.space, [x.scale(r) for r, x in zip(scales, basis.elements)], n=n)
+        assert dim_image(rescaled, n) == dim_image(basis, n), (d, n, k)
+
+
 def test_dim_image_against_kernel_intersection():
     # the image dimension is the span's dimension less that of its meet with
     # the whole kernel; (3,4,5), (3,4,6) and (3,5,6) meet a nonzero kernel
@@ -245,6 +254,14 @@ def test_loopclosure_membership_graded():
     assert loopclosure_membership(mixed)
     mixed_bad = volume_element(2) + TensorElement.from_word(2, (1,))
     assert not loopclosure_membership(mixed_bad)
+
+
+def test_loopclosure_membership_mixed_denominators():
+    vol2 = volume_element(2)
+    member = vol2.scale(qq(1, 3)) + shuffle_power(vol2, 2).scale(qq(1, 5)) + TensorElement.unit(2).scale(qq(1, 2))
+    assert loopclosure_membership(member)
+    assert loopclosure_membership(member, segments=5)
+    assert not loopclosure_membership(member + TensorElement.from_word(2, (1, 1), qq(1, 7)))
 
 
 # -- simultaneous invariants -----------------------------------------------------------
@@ -406,6 +423,12 @@ def test_block_cut_matches_single_block_chain(name, monkeypatch):
 def test_is_invariant_fixtures():
     assert is_invariant(fixtures.element("w1"), 3, 4)
     assert is_invariant(fixtures.element("w2"), 3, 4)
+
+
+def test_is_invariant_mixed_denominators():
+    x = fixtures.element("w1") + volume_element(3).scale(qq(1, 7))
+    assert is_invariant(x, 3, 4)
+    assert not is_invariant(x + TensorElement.from_word(3, (1,), qq(1, 5)), 3, 4)
 
 
 def test_is_invariant_shares_condition_builders():

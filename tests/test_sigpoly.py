@@ -567,6 +567,14 @@ def test_word_and_element_polynomials_match_reference(d, n, k):
         assert signature_polynomial(x, n) == expected
 
 
+@pytest.mark.parametrize("word", [(0,), (1, 3), (2, -1, 1)])
+def test_word_letters_outside_the_alphabet_are_rejected(word):
+    with pytest.raises(ValueError):
+        SigPolyCalculator(2, 3).word_poly(word)
+    with pytest.raises(ValueError):
+        signature_polynomial(word, 3, d=2)
+
+
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
 def test_permutation_substitution_matches_reference(d, n):
     rng = random.Random(200 + 10 * d + n)
