@@ -409,6 +409,7 @@ def _dispatch(args) -> int:
         ok = True
         calculators: dict[int, SigPolyCalculator] = {}  # one memo per alphabet
         invariance: dict = {}  # one stabilizer condition per (d, n)
+        closures: dict = {}  # one loop-closure condition per (d, m)
         for name, x in elements.items():
             entry = {}
             for check in checks:
@@ -423,7 +424,7 @@ def _dispatch(args) -> int:
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
                 else:
-                    entry[check] = loopclosure_membership(x, segments=args.segments)
+                    entry[check] = loopclosure_membership(x, segments=args.segments, conditions=closures)
                 ok = ok and entry[check]
             report[name] = entry
         _emit({"checks": report, "pass": ok}, fmt,

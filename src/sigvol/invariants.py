@@ -18,12 +18,15 @@ The subspaces on offer:
 * ``inv_d_space``      - elements invariant for every number of control
   points at once: all the conditions above that d calls for.
 
-Each space is one cut-down chain, `_cut`: the full degree-k space cut down
-by each of its conditions in turn.  Every condition commutes with linear
-maps of R^d, so the chain splits by letter content (how often each letter
-occurs in a word): it solves only the blocks whose letter counts do not
-increase, and fills every other block by relabelling the letters of one of
-those.
+Each space but the time-reversal one, whose basis is written down, is one
+cut-down chain, `_cut`: the full degree-k space cut down by each of its
+conditions in turn.  Every condition commutes with linear maps of R^d, so
+each space is a GL_d-module, generated by its highest-weight vectors.  The
+chain solves only those: for each letter content lambda (how often each
+letter occurs in a word) whose counts do not increase, the f^lambda standard
+polytabloids of shape lambda.  It then rebuilds each such block from the
+blocks above it by the lowering operators, and fills every other block by
+relabelling the letters of one of those.
 
 Raw dimensions of ``invariant_space`` include the full kernel (the zero
 polynomial is invariant under anything), so counts of "visibly distinct"
@@ -36,11 +39,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Mapping
 
 from .exactq import Q1, QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace, rref_rows
-from .freealg import TensorElement, Word, antipode, element_to_text, shuffle_power, volume_element
+from .freealg import (
+    TensorElement,
+    Word,
+    antipode,
+    element_to_text,
+    permutation_sign,
+    shuffle_power,
+    volume_element,
+)
 from .posgeom import PermGroup, stabilizer_structural
 from .sigpoly import SigPolyCalculator, integral_coefficients, permutation_substitution
 
@@ -147,62 +158,148 @@ def _meets(x: TensorElement, conditions) -> bool:
     return not any(conditions(coeffs))
 
 
+def _standard_tableaux(shape: tuple[int, ...]):
+    """Every standard tableau of the shape, as its rows of entries 0..k-1."""
+    k = sum(shape)
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def fill(m: int):
+        if m == k:
+            yield [list(row) for row in rows]
+        for r, length in enumerate(shape):
+            if len(rows[r]) < length and (r == 0 or len(rows[r - 1]) > len(rows[r])):
+                rows[r].append(m)
+                yield from fill(m + 1)
+                rows[r].pop()
+
+    return fill(0)
+
+
+def _polytabloids(d: int, shape: tuple[int, ...]) -> list[dict[int, int]]:
+    """The standard polytabloids of the shape, over the lex indices of degree-k words.
+
+    A standard tableau T gives the word with letter r + 1 at every position
+    in row r of T (entry p is position p), antisymmetrised over the columns
+    of T: each column's letters 1..c are permuted among its positions, with
+    the sign of the permutation.  A letter a at position p adds
+    (a - 1) * d**(k-1-p) to the word's index.
+    """
+    k = sum(shape)
+    place = [d ** (k - 1 - p) for p in range(k)]
+    vectors = []
+    for rows in _standard_tableaux(shape):
+        vector = {sum(r * place[p] for r, row in enumerate(rows) for p in row): 1}
+        for j in range(shape[0] if shape else 0):
+            column = [row[j] for row in rows if len(row) > j]
+            moves = [
+                (permutation_sign(s), sum((s[r] - r) * place[p] for r, p in enumerate(column)))
+                for s in permutations(range(len(column)))
+            ]
+            vector = {c + shift: v * sign for c, v in vector.items() for sign, shift in moves}
+        vectors.append(vector)
+    return vectors
+
+
 def _cut(d: int, k: int, conditions) -> SubspaceQ:
     """The degree-k elements that meet every condition, cut down one condition at a time.
 
-    The space is solved one letter-content block at a time (the words with
-    the same count of each letter), and only on the dominant blocks, whose
-    counts do not increase from letter 1 to letter d.  Every condition here
-    commutes with each linear map A of R^d, because S(AX) = A^{(x)k} S(X),
-    A maps an n-point path to an n-point path, and A commutes with
-    permuting, reversing or closing its control points; so each space the
-    chain builds is GL_d-stable.  Under the diagonal A it is the direct sum
-    of its blocks: the conditions never mix blocks, since a word's
-    polynomial has degree c_i in the coordinate-i increments and every
-    substitution maps a coordinate-i increment to a form in coordinate i.
-    Under the permutation matrices the block of content c is the letter
-    relabelling of the dominant block of sorted(c).
+    Every condition here commutes with each linear map A of R^d, because
+    S(AX) = A^{(x)k} S(X), A maps an n-point path to an n-point path, and A
+    commutes with permuting, reversing or closing its control points; so
+    each space W the chain builds is GL_d(Q)-stable.  It is gl_d-stable too:
+    for X in gl_d, A = I + tX is invertible for all but finitely many
+    rational t and acts on words and on polynomials by polynomials in t, so
+    the coefficient of t in the commuting identity says that X commutes
+    with the conditions as well.
+    On words, the raising operator E_i (the matrix unit sending e_{i+1} to
+    e_i) replaces one letter i+1 by i, summed over positions, and the
+    lowering operator F_i replaces one letter i by i+1.
 
-    On a block each condition is solved over the current basis, one column
-    per basis element, so it solves at the dimension the conditions before
-    it left.  The kernel lifts back through that basis with no second
-    elimination: a reduced-echelon kernel vector lambda, lifted through a
-    reduced-echelon basis, has entry lambda_j at the j-th old pivot and
-    nothing before the old pivot of its own lead, so the lifts are reduced
-    echelon again.  A relabelled block is reduced once more on its own.
-    The blocks have disjoint supports, so the union of their reduced bases,
-    sorted by lead, is the reduced echelon basis of the whole space.
+    Under the diagonal A, W is the direct sum of its letter-content blocks
+    W_c (the words with c_a letters a): the conditions never mix blocks,
+    since a word's polynomial has degree c_i in the coordinate-i increments
+    and every substitution maps a coordinate-i increment to a form in
+    coordinate i.
+    Under the permutation matrices the block of content c is the letter
+    relabelling of the dominant block of sorted(c), whose counts do not
+    increase from letter 1 to letter d.  So the chain only builds the
+    dominant blocks, and of those first only the highest-weight spaces
+    HW_lambda(W), the vectors of W_lambda that every E_i kills.
+
+    HW_lambda of the whole degree-k space is spanned by the f^lambda
+    standard polytabloids of shape lambda, with entries +-1 (James's kernel
+    intersection theorem: G. D. James, *The Representation Theory of the
+    Symmetric Groups*, LNM 682, 1978; Sagan, *The Symmetric Group*, 2.5 and
+    2.10; over Q the kernels of the E_i alone cut out the Specht module).
+    HW_lambda of a subspace is its intersection with that span, so each
+    condition is solved over the current basis of each HW_lambda, one column
+    per basis element, and its kernel is lifted back through that basis.
+
+    Each dominant block is then rebuilt, highest first in reverse-lex order,
+    as W_mu = HW_mu(W) + sum_i F_i W_{mu + alpha_i}, where mu + alpha_i has
+    one more letter i and one fewer letter i+1.  W is a sum of irreducible
+    gl_d-modules, each generated by its highest-weight vector under U(n-),
+    the algebra the F_i generate; so W = U(n-) HW(W), and since
+    U(n-) = Q + sum_i F_i U(n-), the weight-mu part of W is HW_mu(W) plus the
+    F_i images of the weight-(mu + alpha_i) parts.  The content
+    sorted(mu + alpha_i) dominates mu and differs from it, so it is lex
+    higher and already rebuilt; a non-dominant mu + alpha_i comes from
+    relabelling it.  F_i moves a letter i at position p to i+1, which adds
+    d**(k-1-p) to the word's index.  Each dominant block is reduced once, and
+    each other block is the relabelling of its dominant block, reduced once
+    more on its own.  The blocks have disjoint supports, so the union of
+    their reduced bases, sorted by lead, is the reduced echelon basis of the
+    whole space.
     """
     words = words_of_degree(d, k)
     blocks: dict[tuple[int, ...], list[int]] = {}
     for c, w in enumerate(words):
         blocks.setdefault(tuple(w.count(a) for a in range(1, d + 1)), []).append(c)
-    # the basis of each dominant block, as rows over the word indices
-    dominant = {
-        content: [{c: Q1} for c in cols]
-        for content, cols in blocks.items() if list(content) == sorted(content, reverse=True)
+    # the basis of each dominant block's highest-weight space, as rows over the word indices
+    highest = {
+        content: _polytabloids(d, tuple(m for m in content if m))
+        for content in blocks if list(content) == sorted(content, reverse=True)
     }
     for condition in conditions:
-        if not any(dominant.values()):
+        if not any(highest.values()):
             break
-        for content, basis in dominant.items():
+        for content, basis in highest.items():
             if basis:
                 solutions = _solve([{words[c]: v for c, v in row.items()} for row in basis], condition)
-                dominant[content] = [
-                    combine((lam, basis[j]) for j, lam in sol.items()) for sol in solutions.basis
+                # integer multiples of the kernel vectors keep every row integral
+                highest[content] = [
+                    combine((lam, basis[j]) for j, lam in integral_coefficients([sol])[0][0].items())
+                    for sol in solutions.basis
                 ]
     index = {w: c for c, w in enumerate(words)}
-    vectors = []
-    for content in blocks:
-        # letter a + 1 of the dominant block becomes letter order[a] + 1 here
-        order = sorted(range(d), key=lambda a: -content[a])
-        basis = dominant[tuple(content[a] for a in order)]
-        if order == sorted(order):
-            vectors += basis
-        else:
-            vectors += rref_rows(
-                {index[tuple(order[a - 1] + 1 for a in words[c])]: v for c, v in row.items()} for row in basis
+    spaces: dict[tuple[int, ...], list[dict[int, QQ]]] = {}
+
+    def block(content: tuple[int, ...]) -> list[dict[int, QQ]]:
+        if content not in spaces:
+            # letter a + 1 of the dominant block becomes letter order[a] + 1 here
+            order = sorted(range(d), key=lambda a: -content[a])
+            spaces[content] = rref_rows(
+                {index[tuple(order[a - 1] + 1 for a in words[c])]: v for c, v in row.items()}
+                for row in spaces[tuple(content[a] for a in order)]
             )
+        return spaces[content]
+
+    place = [d ** (k - 1 - p) for p in range(k)]
+    for mu in sorted(highest, reverse=True):
+        rows = list(highest[mu])
+        for i in range(1, d):
+            if mu[i]:
+                above = mu[: i - 1] + (mu[i - 1] + 1, mu[i] - 1) + mu[i + 1:]
+                lowered = {c: [c + place[p] for p, a in enumerate(words[c]) if a == i] for c in blocks[above]}
+                for row in integral_coefficients(block(above))[0]:
+                    out: dict[int, int] = {}
+                    for c, v in row.items():
+                        for target in lowered[c]:
+                            out[target] = out.get(target, 0) + v
+                    rows.append({c: v for c, v in out.items() if v})
+        # latest lead first: a row whose lead no pivot holds yet becomes one with no elimination
+        spaces[mu] = rref_rows(sorted(filter(None, rows), key=min, reverse=True))
+    vectors = [row for content in blocks for row in block(content)]
     return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True)
 
 
@@ -232,21 +329,48 @@ def _timerev_conditions(d: int) -> Callable[[dict[Word, int]], list[dict]]:
 
 
 def timerev_space(d: int, k: int) -> GradedBasis:
-    """Fixed space of the antipode on degree-k words."""
-    space = _cut(d, k, [_timerev_conditions(d)])
+    """Fixed space of the antipode on degree-k words.
+
+    The antipode sends each word w to (-1)^k rev(w), so the fixed space has
+    the basis w + (-1)^k rev(w) for each w before rev(w), and w for each
+    palindrome when k is even.  Each such vector leads at w and has its
+    other entry at rev(w), which leads no vector: the rows, sorted by lead,
+    are already the reduced echelon basis.
+    """
+    words = words_of_degree(d, k)
+    index = {w: c for c, w in enumerate(words)}
+    sign = Q1 if k % 2 == 0 else -Q1
+    vectors = []
+    for c, w in enumerate(words):
+        r = index[w[::-1]]
+        if c < r:
+            vectors.append({c: Q1, r: sign})
+        elif c == r and k % 2 == 0:
+            vectors.append({c: Q1})
+    space = SubspaceQ(len(words), vectors, _canonical=True)
     return GradedBasis.from_space(d, k, space, group_tag="timerev")
 
 
-def loopclosure_membership(x: TensorElement, segments: int | None = None) -> bool:
+def loopclosure_membership(
+    x: TensorElement, segments: int | None = None, conditions: dict | None = None
+) -> bool:
     """Whether closing an m-segment path to a loop (either side) is invisible.
 
     Checked as two exact polynomial identities per homogeneous part, with
-    m = deg(part) segments before closure (overridable).
+    m = deg(part) segments before closure (overridable).  Pass one
+    `conditions` dict to many calls to share one closure condition per
+    (d, m), with its calculator memo.  Its keys have the form of
+    `is_invariant`'s, so give each function a dict of its own.
     """
-    return all(
-        _meets(part, _closure_conditions(x.d, segments if segments is not None else k))
-        for k, part in x.graded_parts().items() if k
-    )
+    conditions = {} if conditions is None else conditions
+
+    def meets(k: int, part: TensorElement) -> bool:
+        m = segments if segments is not None else k
+        if (x.d, m) not in conditions:
+            conditions[x.d, m] = _closure_conditions(x.d, m)
+        return _meets(part, conditions[x.d, m])
+
+    return all(meets(k, part) for k, part in x.graded_parts().items() if k)
 
 
 def loopclosure_combinations(elements: list[TensorElement], segments: int) -> SubspaceQ:

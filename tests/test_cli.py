@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -333,3 +334,17 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["words"] == ["112", "122"]
+
+
+# sha256 of the JSON stdout of the letter-content chain that preceded the
+# highest-weight chain; (3, 7) has 18 simultaneous invariants, (2, 7) none
+INV_D_STDOUT_SHA256 = {
+    (3, 7): "92d49b8647de10153fb71517a9edc78477d92a7c9cc59ffa17683aa6e395532f",
+    (2, 7): "20adaf0ff94e9805e1f5cc383863ecab5aca0c3d0a0bac3de20dbb0e27a73e66",
+}
+
+
+@pytest.mark.parametrize("d, k", INV_D_STDOUT_SHA256)
+def test_inv_d_stdout_is_pinned(capsys, d, k):
+    assert run(["inv-d", "--d", str(d), "--k", str(k)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INV_D_STDOUT_SHA256[d, k]

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from sigvol import fixtures, invariants
-from sigvol.exactq import SparseMatrixQ, SubspaceQ, combine, intersect, nullspace, qq
+from sigvol.exactq import MatrixBuilder, Q1, SparseMatrixQ, SubspaceQ, combine, intersect, nullspace, qq, rref_rows
 from sigvol.freealg import (
     TensorElement,
     antipode,
@@ -179,6 +180,14 @@ def test_timerev_complement_dimensions():
         assert intersect(fixed.space, anti).dim == 0
 
 
+def test_timerev_basis_matches_the_chain():
+    # the written-down basis against the antipode condition solved by `_cut`
+    for d in (1, 2, 3):
+        for k in range(6):
+            solved = invariants._cut(d, k, [invariants._timerev_conditions(d)])
+            assert timerev_space(d, k).space == solved, (d, k)
+
+
 def test_fixed_space_is_image_of_symmetrization():
     rng = random.Random(3)
     basis = timerev_space(2, 3)
@@ -262,6 +271,20 @@ def test_loopclosure_membership_mixed_denominators():
     assert loopclosure_membership(member)
     assert loopclosure_membership(member, segments=5)
     assert not loopclosure_membership(member + TensorElement.from_word(2, (1, 1), qq(1, 7)))
+
+
+def test_loopclosure_membership_shares_condition_builders():
+    # one dict shared by many checks holds one closure condition per (d, m),
+    # and the answers are those of checks that build their own
+    shared: dict = {}
+    vol2 = volume_element(2)
+    loop = fixtures.element("loop_d2_deg6")
+    elements = [loop, antipode(loop), vol2, shuffle_power(vol2, 2) + TensorElement.unit(2),
+                TensorElement.from_word(2, (1, 2)), loop + TensorElement.from_word(2, (2, 1, 1))]
+    for segments in (None, 3):
+        for x in elements:
+            assert loopclosure_membership(x, segments, shared) == loopclosure_membership(x, segments)
+    assert sorted(shared) == [(2, 2), (2, 3), (2, 4), (2, 6)]
 
 
 # -- simultaneous invariants -----------------------------------------------------------
@@ -415,6 +438,109 @@ def test_block_cut_matches_single_block_chain(name, monkeypatch):
     single = SPACES[name]()
     assert blockwise.space == single.space
     assert blockwise.elements == single.elements
+
+
+# -- highest-weight chain ----------------------------------------------------------------
+
+
+def _partitions(k, parts):
+    # the partitions of k into at most `parts` parts, largest part first
+    def fill(rest, largest, left):
+        if rest == 0:
+            yield ()
+        elif left:
+            for first in range(min(rest, largest), 0, -1):
+                for tail in fill(rest - first, first, left - 1):
+                    yield (first,) + tail
+
+    return list(fill(k, k, parts))
+
+
+def _hook_length_count(shape):
+    # f^shape, the number of standard tableaux, by the hook length formula
+    conjugate = [sum(1 for length in shape if length > c) for c in range(shape[0] if shape else 0)]
+    hooks = math.prod(shape[r] - c + conjugate[c] - r - 1 for r in range(len(shape)) for c in range(shape[r]))
+    return math.factorial(sum(shape)) // hooks
+
+
+def _raise(vector, i, words, index):
+    # E_i on word indices: one letter i+1 replaced by i, summed over positions
+    out = {}
+    for c, v in vector.items():
+        w = words[c]
+        for p, a in enumerate(w):
+            if a == i + 1:
+                target = index[w[:p] + (i,) + w[p + 1:]]
+                out[target] = out.get(target, 0) + v
+    return {c: v for c, v in out.items() if v}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polytabloids_are_a_highest_weight_basis(d):
+    for k in range(8):
+        words = words_of_degree(d, k)
+        index = {w: c for c, w in enumerate(words)}
+        for shape in _partitions(k, d):
+            content = shape + (0,) * (d - len(shape))
+            vectors = invariants._polytabloids(d, shape)
+            assert len(vectors) == _hook_length_count(shape)
+            assert SubspaceQ(d**k, vectors).dim == len(vectors)
+            for v in vectors:
+                assert set(v.values()) <= {1, -1}
+                assert all(tuple(words[c].count(a) for a in range(1, d + 1)) == content for c in v)
+                assert all(not _raise(v, i, words, index) for i in range(1, d))
+            if d**k <= 243:
+                # they span the words of this content that every E_i kills
+                block = [c for c, w in enumerate(words) if tuple(w.count(a) for a in range(1, d + 1)) == content]
+                builder = MatrixBuilder(len(block))
+                for j, c in enumerate(block):
+                    builder.add_column(j, {(i, t): Q1 * v for i in range(1, d)
+                                           for t, v in _raise({c: 1}, i, words, index).items()})
+                assert nullspace(builder.build()).dim == len(vectors)
+
+
+def _letter_content_cut(d, k, conditions):
+    # the chain on every word of each dominant letter-content block, with no
+    # highest-weight step: the reference the highest-weight chain must agree with
+    words = words_of_degree(d, k)
+    blocks = {}
+    for c, w in enumerate(words):
+        blocks.setdefault(tuple(w.count(a) for a in range(1, d + 1)), []).append(c)
+    dominant = {
+        content: [{c: Q1} for c in cols]
+        for content, cols in blocks.items() if list(content) == sorted(content, reverse=True)
+    }
+    for condition in conditions:
+        if not any(dominant.values()):
+            break
+        for content, basis in dominant.items():
+            if basis:
+                solutions = invariants._solve([{words[c]: v for c, v in row.items()} for row in basis], condition)
+                dominant[content] = [
+                    combine((lam, basis[j]) for j, lam in sol.items()) for sol in solutions.basis
+                ]
+    index = {w: c for c, w in enumerate(words)}
+    vectors = []
+    for content in blocks:
+        order = sorted(range(d), key=lambda a: -content[a])
+        basis = dominant[tuple(content[a] for a in order)]
+        if order == sorted(order):
+            vectors += basis
+        else:
+            vectors += rref_rows(
+                {index[tuple(order[a - 1] + 1 for a in words[c])]: v for c, v in row.items()} for row in basis
+            )
+    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True)
+
+
+@pytest.mark.parametrize("name", [*SPACES, "kernel(2,4,8)"])
+def test_highest_weight_chain_matches_letter_content_chain(name, monkeypatch):
+    build = SPACES.get(name, lambda: kernel_space(2, 4, 8))
+    highest = build()
+    monkeypatch.setattr(invariants, "_cut", _letter_content_cut)
+    letter_content = build()
+    assert highest.space == letter_content.space
+    assert highest.elements == letter_content.elements
 
 
 # -- memberships and evidence ------------------------------------------------------------
