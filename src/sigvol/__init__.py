@@ -19,6 +19,7 @@ from .invariants import (
     dim_image,
     inv_d_space,
     invariant_space,
+    is_in_kernel,
     is_invariant,
     kernel_space,
     loopclosure_membership,

@@ -36,6 +36,7 @@ from .invariants import (
     dim_image,
     inv_d_space,
     invariant_space,
+    is_in_kernel,
     is_invariant,
     kernel_space,
     loopclosure_membership,
@@ -55,7 +56,6 @@ from .posgeom import (
 )
 from .sigpoly import (
     PLPath,
-    SigPolyCalculator,
     path_pair,
     pl_signature,
     polynomial_to_text,
@@ -407,7 +407,7 @@ def _dispatch(args) -> int:
         elements = _load_fixture(args.fixture, args.d)
         report = {}
         ok = True
-        calculators: dict[int, SigPolyCalculator] = {}  # one memo per alphabet
+        kernels: dict = {}  # one kernel condition per (d, n)
         invariance: dict = {}  # one stabilizer condition per (d, n)
         closures: dict = {}  # one loop-closure condition per (d, m)
         for name, x in elements.items():
@@ -418,9 +418,7 @@ def _dispatch(args) -> int:
                         raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
                     entry[check] = is_invariant(x, x.d, args.n, invariance)
                 elif check == "kernel":
-                    if x.d not in calculators:
-                        calculators[x.d] = SigPolyCalculator(x.d, args.n)
-                    entry[check] = calculators[x.d].element_poly(x).is_zero()
+                    entry[check] = is_in_kernel(x, args.n, kernels)
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
                 else:

@@ -127,6 +127,12 @@ def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]],
     return conditions
 
 
+def _kernel_conditions(d: int, n: int) -> Callable[[dict[Word, int]], list[dict]]:
+    """The packed polynomial of a word combination on n points: zero on the kernel."""
+    calc = SigPolyCalculator(d, n)
+    return lambda row: [calc.combination(row)]
+
+
 def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict]]:
     """Per side: closed minus open packed polynomial of a word combination on m segments."""
     return SigPolyCalculator(d, m + 1).closure_differences
@@ -305,9 +311,8 @@ def _cut(d: int, k: int, conditions) -> SubspaceQ:
 
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     """Degree-k elements that every n-point path signature annihilates."""
-    calc = SigPolyCalculator(d, n)
     # every column carries the same factor k!, which leaves the kernel alone
-    space = _cut(d, k, [lambda row: [calc.combination(row)]])
+    space = _cut(d, k, [_kernel_conditions(d, n)])
     return GradedBasis.from_space(d, k, space, n=n, group_tag="kernel")
 
 
@@ -435,13 +440,25 @@ def is_invariant(x: TensorElement, d: int, n: int, conditions: dict | None = Non
     return _meets(x, conditions[d, n])
 
 
+def is_in_kernel(x: TensorElement, n: int, conditions: dict | None = None) -> bool:
+    """Whether the signature polynomial of x on n points vanishes identically.
+
+    Pass one `conditions` dict to many calls to share one kernel condition
+    per (d, n), with its calculator memo.  Its keys have the form of
+    `is_invariant`'s, so give each function a dict of its own.
+    """
+    conditions = {} if conditions is None else conditions
+    if (x.d, n) not in conditions:
+        conditions[x.d, n] = _kernel_conditions(x.d, n)
+    return _meets(x, conditions[x.d, n])
+
+
 def dim_image(basis: GradedBasis, n: int) -> int:
     """Dimension of the image of the basis span under the n-point map."""
     if basis.dim == 0:
         return 0
     # the rank of the basis elements' polynomial columns
-    calc = SigPolyCalculator(basis.d, n)
-    return basis.dim - _solve([x.terms for x in basis.elements], lambda row: [calc.combination(row)]).dim
+    return basis.dim - _solve([x.terms for x in basis.elements], _kernel_conditions(basis.d, n)).dim
 
 
 def conjecture_evidence(d: int, k: int) -> dict:
@@ -460,8 +477,7 @@ def conjecture_evidence(d: int, k: int) -> dict:
     witness = None
     if k % d == 0:
         power = shuffle_power(volume_element(d), k // d)
-        calc = SigPolyCalculator(d, n)
-        if k == 0 or not calc.element_poly(power).is_zero():
+        if k == 0 or not is_in_kernel(power, n):
             predicted = 1
             witness = power
     report = {

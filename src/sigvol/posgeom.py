@@ -25,8 +25,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactq import QQ, Q1, det_q, qq
-from .freealg import permutation_sign, volume_element
-from .sigpoly import PLPath, path_pair
+from .freealg import permutation_sign
+from .sigpoly import PLPath, integral_coefficients
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -448,5 +448,26 @@ def polytope_volume(instance: CyclicInstance) -> QQ:
 
 
 def signed_volume(path: PLPath) -> QQ:
-    """(1/d!) times the signature pairing with the signed-volume element."""
-    return path_pair(path, volume_element(path.d)) / QQ(math.factorial(path.d))
+    """(1/d!) times the signature pairing with the signed-volume element.
+
+    Words map onto the exterior algebra of Q^d by w -> e_{w_1} ^ ... ^ e_{w_k},
+    an algebra map under which a segment's exp(a) becomes 1 + a (a ^ a = 0)
+    and the pairing with the alternating vol_d reads the coefficient of
+    e_1 ^ ... ^ e_d.  So the pairing is the top component of the product of
+    the 1 + a_s in path order, kept here on the integer increments b = D a as
+    coefficients on coordinate bitmasks, and divided by D^d d! at the end.
+    """
+    d = path.d
+    increments, den = integral_coefficients([dict(enumerate(a)) for a in path.increments()])
+    wedge = {0: 1}  # bitmask of coordinates -> coefficient of their increasing wedge
+    for b in increments:
+        support = [(i, c) for i, c in b.items() if c]
+        step = dict(wedge)
+        for mask, v in wedge.items():
+            for i, c in support:
+                if not mask >> i & 1:
+                    # e_mask ^ e_i: e_i passes the coordinates of mask above i
+                    above = (mask >> i).bit_count()
+                    step[mask | 1 << i] = step.get(mask | 1 << i, 0) + (-c if above % 2 else c) * v
+        wedge = step
+    return QQ(wedge.get((1 << d) - 1, 0), den**d * math.factorial(d))

@@ -371,11 +371,21 @@ def integral_coefficients(maps: Sequence[Mapping[Word, QQ]]) -> tuple[list[dict[
 class SigPolyCalculator:
     """Computes signature polynomials for n-point paths in R^d.
 
-    The Chen recursion over the first segment is memoized on (segment,
-    suffix word), which shares work across the many words of a graded batch.
     Internally a word of length L maps to L! times its polynomial, packed
     (see the module docstring); `word_poly` and `element_poly` convert to
-    `IncrementPolynomial`.
+    `IncrementPolynomial`.  `_poly` runs the Chen recursion over the first
+    segment for one word, memoized on (segment, suffix word).
+
+    `combination` runs the same recursion on a word combination y of one
+    length L.  On segment s each word w = p v splits by j = |p| and the
+    letter content c of p; the left quotient y_{j,c} = sum of y_{pv} v gives
+    L! P_s(y) = sum over (j, c) of C(L, j) a_s^c (L-j)! P_{s+1}(y_{j,c}),
+    which is `_poly`'s step summed over y.  A quotient that cancels to zero
+    is dropped before anything below it is built.  The last segment
+    consumes the whole rest of a word, so there a quotient word is kept as
+    the packed monomial of its content and no quotient dict is built.  A
+    quotient of one word reads the `_poly` memo, the leaf of the same
+    recursion.
     """
 
     def __init__(self, d: int, n: int):
@@ -413,8 +423,70 @@ class SigPolyCalculator:
         return out
 
     def combination(self, coeffs: Mapping[Word, int]) -> dict[int, int]:
-        """Sum of c * |w|! * (polynomial of w) over integer coefficients c."""
-        return combine((c, self._poly(1, w)) for w, c in coeffs.items())
+        """Sum of c * |w|! * (polynomial of w) over integer coefficients c.
+
+        Words of one length L share the scale L!, so each length recurses on
+        its own; their polynomials have degree L, so the lengths never meet.
+        """
+        out: dict[int, int] = {}
+        for length, part in _by_length({w: c for w, c in coeffs.items() if c}).items():
+            _check_degree(length)
+            out.update(self._combination(1, length, part))
+        return out
+
+    def _combination(self, s: int, length: int, y: dict[Word, int]) -> dict[int, int]:
+        # L! times the polynomial of the nonzero length-L combination y on segments s..n-1
+        if len(y) == 1:
+            (w, c), = y.items()
+            poly = self._poly(s, w)  # read only: every caller copies what it keeps
+            return poly if c == 1 else {m: c * v for m, v in poly.items()}
+        if s >= self.n - 1:  # reached from `combination` only, when n <= 2
+            if s == self.n:
+                return {}  # no segment: only the empty word is nonzero, and it is alone
+            # the one segment consumes the whole word: its monomial is the word's content
+            letters = self._letters[s]
+            out: dict[int, int] = {}
+            for w, c in y.items():
+                m = sum(letters[i] for i in w)
+                total = out.get(m, 0) + c
+                if total:
+                    out[m] = total
+                else:
+                    del out[m]
+            return out
+        # split each word w = p v at j = |p| by the content of p (a packed monomial
+        # of degree j); the left quotient at (j, content) is the sum of y_w v.  When
+        # segment s+1 is the last, it consumes v whole, so v is kept as its content.
+        letters = self._letters[s]
+        last = s + 1 == self.n - 1
+        after = self._letters[s + 1]
+        quotients: list[dict[int, dict]] = [{} for _ in range(length + 1)]
+        for w, c in y.items():
+            if last:
+                tails = [0] * (length + 1)
+                for j in range(length - 1, -1, -1):
+                    tails[j] = tails[j + 1] + after[w[j]]
+            seg = 0
+            for j in range(length + 1):
+                if j:
+                    seg += letters[w[j - 1]]
+                quotient = quotients[j].setdefault(seg, {})
+                v = tails[j] if last else w[j:]
+                total = quotient.get(v, 0) + c
+                if total:
+                    quotient[v] = total
+                else:
+                    del quotient[v]
+        out: dict[int, int] = {}
+        for j, by_content in enumerate(quotients):
+            binom = math.comb(length, j)
+            for seg, quotient in by_content.items():
+                if not quotient:
+                    continue  # cancelled inside segment s's prefix: nothing below is built
+                tail = quotient if last else self._combination(s + 1, length - j, quotient)
+                # terms of different (j, content) differ in their segment-s monomial, so none meet
+                out.update({m + seg: binom * v for m, v in tail.items()})
+        return out
 
     def closure_differences(self, coeffs: Mapping[Word, int]) -> list[dict[int, int]]:
         """Closed minus open, right and left, of an integer word combination, like `combination`.

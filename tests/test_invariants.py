@@ -18,6 +18,7 @@ from sigvol.invariants import (
     dim_image,
     inv_d_space,
     invariant_space,
+    is_in_kernel,
     is_invariant,
     kernel_space,
     loopclosure_combinations,
@@ -567,6 +568,21 @@ def test_is_invariant_shares_condition_builders():
         for x in elements:
             assert is_invariant(x, 3, n, shared) == is_invariant(x, 3, n)
     assert sorted(shared) == [(3, 4), (3, 5)]
+
+
+def test_is_in_kernel_agrees_with_the_polynomial_and_shares_conditions():
+    # one dict shared by many checks holds one kernel condition per (d, n),
+    # and each answer is whether the element's polynomial is zero
+    shared: dict = {}
+    elements = [fixtures.element("vol3_concat_sq"), volume_element(3), fixtures.element("w1"),
+                fixtures.element("vol3_concat_sq") + volume_element(3).scale(qq(1, 3))]
+    for n in (3, 4, 5, 6):
+        for x in elements:
+            expected = signature_polynomial(x, n).is_zero()
+            assert is_in_kernel(x, n, shared) == is_in_kernel(x, n) == expected
+    assert sorted(shared) == [(3, 3), (3, 4), (3, 5), (3, 6)]
+    assert not is_in_kernel(volume_element(3), 4)
+    assert is_in_kernel(fixtures.element("vol3_concat_sq"), 5)
 
 
 def test_is_invariant_rejects_single_letter():

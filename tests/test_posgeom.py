@@ -6,7 +6,7 @@ import pytest
 
 from sigvol import fixtures, posgeom
 from sigvol.exactq import qq
-from sigvol.freealg import permutation_sign
+from sigvol.freealg import permutation_sign, volume_element
 from sigvol.invariants import conjecture_evidence, inv_d_space, invariant_space, is_invariant
 from sigvol.posgeom import (
     CyclicInstance,
@@ -22,7 +22,7 @@ from sigvol.posgeom import (
     stabilizer_bruteforce,
     stabilizer_structural,
 )
-from sigvol.sigpoly import PLPath
+from sigvol.sigpoly import PLPath, path_pair
 from sigvol.verify import STABILIZER_TABLE
 
 from oracles import (
@@ -456,3 +456,20 @@ def test_d3_volume_agreement():
 def test_d1_signed_volume_is_length():
     path = PLPath([(qq(1),), (qq(4),)])
     assert signed_volume(path) == 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_signed_volume_is_the_volume_element_pairing(d):
+    rng = random.Random(d)
+    for n in range(1, d + 7):
+        points = [tuple(qq(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)) for _ in range(n)]
+        path = PLPath(points)
+        expected = path_pair(path, volume_element(d)) / math.factorial(d)
+        assert signed_volume(path) == expected
+        if n - 1 < d:
+            assert expected == 0  # fewer segments than coordinates span no volume
+
+
+def test_signed_volume_at_d10_matches_the_triangulation():
+    inst = moment_curve_instance(10, 11, range(11))
+    assert signed_volume(inst.path) == polytope_volume(inst)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from sigvol import fixtures
 from sigvol.exactq import qq
 from sigvol.freealg import TensorElement, antipode, concat, parse_element, shuffle, volume_element
 from sigvol.invariants import loopclosure_membership
@@ -637,3 +638,69 @@ def test_packed_field_overflow_raises():
         signature_polynomial((1,) * (MAX_DEGREE + 1), 2, d=1)
     with pytest.raises(OverflowError):
         loopclosure_membership(TensorElement.from_word(1, (1,) * (MAX_DEGREE + 1)), segments=1)
+
+
+# -- word combinations -------------------------------------------------------------
+
+
+def word_by_word(calc, coeffs):
+    """The sum of c * |w|! * (polynomial of w), one memoized word polynomial at a time."""
+    out = {}
+    for w, c in coeffs.items():
+        for m, v in calc._poly(1, w).items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def random_combination(rng, d, maxlen, nterms):
+    coeffs = {}
+    for _ in range(nterms):
+        w = tuple(rng.randint(1, d) for _ in range(rng.randint(0, maxlen)))
+        coeffs[w] = rng.randint(-4, 4)  # zero coefficients included
+    return coeffs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_combination_matches_the_word_by_word_sum(d, n):
+    rng = random.Random(1000 * d + n)
+    for _ in range(15):
+        coeffs = random_combination(rng, d, 5, rng.randint(0, 10))
+        coeffs[()] = rng.randint(-2, 2)  # the empty word, possibly with coefficient 0
+        # an antisymmetrised word: its terms cancel inside the prefixes of the segments
+        w = tuple(rng.randint(1, d) for _ in range(rng.randint(2, 5)))
+        for i in range(len(w) - 1):
+            swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            coeffs[w] = coeffs.get(w, 0) + 1
+            coeffs[swapped] = coeffs.get(swapped, 0) - 1
+        assert SigPolyCalculator(d, n).combination(coeffs) == word_by_word(SigPolyCalculator(d, n), coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_combination_of_cancelling_and_zero_coefficients(n):
+    calc = SigPolyCalculator(3, n)
+    assert calc.combination({}) == {}
+    assert calc.combination({(1, 2): 0, (): 0, (3, 3, 1): 0}) == {}
+    # on one segment a word's polynomial is the monomial of its letter content,
+    # so a word minus any rearrangement of it cancels exactly
+    one_segment = {(1, 2, 3, 1): 1, (3, 1, 1, 2): -1, (2, 1): 2, (1, 2): -2}
+    assert SigPolyCalculator(3, 2).combination(one_segment) == {}
+    # on at most one segment the rearranged words leave the rest alone
+    rest = {(2, 3, 1): 3, (1,): -1, (): 5}
+    both = {**rest, **one_segment}
+    assert calc.combination(both) == word_by_word(calc, both)
+    if n <= 2:
+        assert calc.combination(both) == calc.combination(rest) == word_by_word(calc, rest)
+
+
+def test_level_seven_elements_combine_to_zero_on_six_points():
+    calc = SigPolyCalculator(4, 6)
+    for name in fixtures.LEVEL7_NAMES:
+        (coeffs,), _ = integral_coefficients([fixtures.element(name).terms])
+        assert calc.combination(coeffs) == {}, name
+
+
+def test_combination_outside_the_kernel_is_nonzero():
+    (coeffs,), _ = integral_coefficients([volume_element(3).terms])
+    got = SigPolyCalculator(3, 4).combination(coeffs)
+    assert got and got == word_by_word(SigPolyCalculator(3, 4), coeffs)
