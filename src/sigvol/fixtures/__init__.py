@@ -7,6 +7,7 @@ optional ``scale:`` line whose factor multiplies every coefficient.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from ..exactq import qq
@@ -39,9 +40,15 @@ def load_elements(filename: str, d: int | None = None) -> dict[str, TensorElemen
     return parse_fixture_elements(fixture_text(filename), d)
 
 
+@cache
+def _bundled_elements(filename: str, d: int) -> dict[str, TensorElement]:
+    # one parse per bundled file: `element` hands out copies, so nothing shared is mutated
+    return load_elements(filename, d)
+
+
 def element(name: str) -> TensorElement:
     filename, d = _ELEMENT_FILES[name]
-    return load_elements(filename, d)[name]
+    return TensorElement(d, _bundled_elements(filename, d)[name].terms)
 
 
 def load_polynomial(filename: str, d: int, n: int) -> IncrementPolynomial:

@@ -24,22 +24,28 @@ conditions in turn.  Every condition commutes with linear maps of R^d, so
 each space is a GL_d-module, generated by its highest-weight vectors.  The
 chain solves only those: for each letter content lambda (how often each
 letter occurs in a word) whose counts do not increase, the f^lambda standard
-polytabloids of shape lambda.  It then rebuilds each such block from the
-blocks above it by the lowering operators, and fills every other block by
+polytabloids of shape lambda.  Those solves keep only the monomials free of
+the increments a[s][i] with s < i: a highest-weight vector's conditions
+vanish when they vanish there.  The chain then rebuilds each such block from
+the blocks above it by the lowering operators, and fills every other block by
 relabelling the letters of one of those.
 
 Raw dimensions of ``invariant_space`` include the full kernel (the zero
 polynomial is invariant under anything), so counts of "visibly distinct"
 invariants are reported as image dimensions via ``dim_image``: the rank of
-the matrix whose columns are the basis elements' n-point polynomials, found
-by one nullspace with one column per basis element.
+the n-point map on the span.  The map commutes with GL_d, so for a space the
+chain built this is the sum over lambda of its rank on the highest-weight
+vectors of weight lambda times dim S_lambda(Q^d), each rank one nullspace on
+the same slice.  A basis built by hand has its rank solved over all its
+elements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import permutations, product
+from functools import cache, partial
+from itertools import combinations, permutations, product
 from typing import Callable, Mapping
 
 from .exactq import Q1, QQ, MatrixBuilder, SubspaceQ, add_scaled, combine, nullspace, rref_rows
@@ -53,7 +59,7 @@ from .freealg import (
     volume_element,
 )
 from .posgeom import PermGroup, stabilizer_structural
-from .sigpoly import SigPolyCalculator, integral_coefficients, permutation_substitution
+from .sigpoly import SigPolyCalculator, integral_coefficients, permutation_substitution, slice_mask
 
 
 def words_of_degree(d: int, k: int) -> list[Word]:
@@ -63,7 +69,13 @@ def words_of_degree(d: int, k: int) -> list[Word]:
 
 @dataclass
 class GradedBasis:
-    """A subspace of the degree-k slice, as coordinates and as elements."""
+    """A subspace of the degree-k slice, as coordinates and as elements.
+
+    `highest` maps each dominant letter content lambda to the integral word
+    combinations that span HW_lambda, the vectors of the space that every
+    raising operator kills.  Only `_cut` knows them, and with them that the
+    space is GL_d-stable; a basis built any other way has none.
+    """
 
     d: int
     k: int
@@ -71,15 +83,16 @@ class GradedBasis:
     elements: list[TensorElement] = field(default_factory=list)
     n: int | None = None
     group_tag: str | None = None
+    highest: dict[tuple[int, ...], list[dict[Word, int]]] | None = None
 
     @classmethod
-    def from_space(cls, d: int, k: int, space: SubspaceQ, **extra) -> "GradedBasis":
+    def from_space(cls, d: int, k: int, space: SubspaceQ, highest=None, **extra) -> "GradedBasis":
         words = words_of_degree(d, k)
         elements = [
             TensorElement(d, {words[c]: v for c, v in row.items()})
             for row in space.basis
         ]
-        return cls(d, k, space, elements, **extra)
+        return cls(d, k, space, elements, highest=highest, **extra)
 
     @property
     def dim(self) -> int:
@@ -115,27 +128,35 @@ class GradedBasis:
 # ---------------------------------------------------------------------------
 
 
-def _group_conditions(d: int, n: int, generators) -> Callable[[dict[Word, int]], list[dict]]:
+# Every condition takes a word combination and `sliced`: with it, the condition
+# polynomials are restricted to the slice a[s][i] = 0 for s < i (see `_cut`).
+
+
+def _group_conditions(d: int, n: int, generators) -> Callable[..., list[dict]]:
     """Per generator: permuted minus original packed polynomial of a word combination."""
     calc = SigPolyCalculator(d, n)
-    substitutions = [permutation_substitution(d, n, g.images) for g in generators]
+    substitutions = cache(lambda sliced: [permutation_substitution(d, n, g.images, sliced) for g in generators])
+    mask = slice_mask(d, n)
 
-    def conditions(coeffs: dict[Word, int]) -> list[dict]:
+    def conditions(coeffs: dict[Word, int], sliced: bool = False) -> list[dict]:
+        # a permutation mixes the segments, so it takes the whole polynomial
         base = calc.combination(coeffs)
-        return [add_scaled(sub.apply_packed(base), -1, base) for sub in substitutions]
+        fixed = {m: v for m, v in base.items() if not m & mask} if sliced else base
+        return [add_scaled(sub.apply_packed(base), -1, fixed) for sub in substitutions(sliced)]
 
     return conditions
 
 
-def _kernel_conditions(d: int, n: int) -> Callable[[dict[Word, int]], list[dict]]:
+def _kernel_conditions(d: int, n: int) -> Callable[..., list[dict]]:
     """The packed polynomial of a word combination on n points: zero on the kernel."""
-    calc = SigPolyCalculator(d, n)
-    return lambda row: [calc.combination(row)]
+    calc = cache(partial(SigPolyCalculator, d, n))
+    return lambda row, sliced=False: [calc(sliced).combination(row)]
 
 
-def _closure_conditions(d: int, m: int) -> Callable[[dict[Word, int]], list[dict]]:
+def _closure_conditions(d: int, m: int) -> Callable[..., list[dict]]:
     """Per side: closed minus open packed polynomial of a word combination on m segments."""
-    return SigPolyCalculator(d, m + 1).closure_differences
+    calc = cache(partial(SigPolyCalculator, d, m + 1))
+    return lambda row, sliced=False: calc(sliced).closure_differences(row)
 
 
 def _solve(rows: list[Mapping[Word, QQ]], conditions) -> SubspaceQ:
@@ -206,8 +227,11 @@ def _polytabloids(d: int, shape: tuple[int, ...]) -> list[dict[int, int]]:
     return vectors
 
 
-def _cut(d: int, k: int, conditions) -> SubspaceQ:
+def _cut(d: int, k: int, conditions) -> tuple[SubspaceQ, dict[tuple[int, ...], list[dict[Word, int]]]]:
     """The degree-k elements that meet every condition, cut down one condition at a time.
+
+    Returns the space and, for each dominant letter content lambda, the
+    integral word combinations that span its highest-weight space HW_lambda.
 
     Every condition here commutes with each linear map A of R^d, because
     S(AX) = A^{(x)k} S(X), A maps an n-point path to an n-point path, and A
@@ -241,6 +265,28 @@ def _cut(d: int, k: int, conditions) -> SubspaceQ:
     condition is solved over the current basis of each HW_lambda, one column
     per basis element, and its kernel is lifted back through that basis.
 
+    These solves run on the slice a[s][i] = 0 for s < i.  A vector x that
+    every E_i kills is fixed by the unitriangular group exp(t E_i)
+    generates on words.  S(AX) = A^{(x)k} S(X) then says that the n-point
+    polynomial of x is unchanged under every lower unitriangular A: adding
+    a multiple of coordinate j to coordinate i > j on every segment.  So is
+    each condition polynomial of x, since the conditions commute with A.
+    Such shears move a generic increment matrix onto the slice: for
+    i = 2..d in turn, the i - 1 shears into coordinate i solve for
+    a[s][i] = 0, s < i, with the matrix of the a[s][j], s, j < i, which the
+    earlier steps left triangular with diagonal a[j][j], so invertible.
+    The shears therefore move the slice onto a dense set, and a polynomial
+    they fix that vanishes on the slice is zero.  On the slice a polynomial
+    is zero exactly when its monomials free of the sliced variables are, so
+    only those rows are built.  Every row of these solves, and every
+    combination of rows, is such an x, so the kernels do not change.
+    The argument holds for such x only.  `_meets` (behind `is_in_kernel`,
+    `is_invariant` and `loopclosure_membership`), `loopclosure_combinations`
+    and `dim_image` of a basis not built here see arbitrary elements, so
+    they keep the full conditions: the word 2, which E_1 does not kill,
+    has the kernel condition a[1][2] on 2 points, and that is 0 on the
+    slice.  The time reversal condition is on words and takes no slice.
+
     Each dominant block is then rebuilt, highest first in reverse-lex order,
     as W_mu = HW_mu(W) + sum_i F_i W_{mu + alpha_i}, where mu + alpha_i has
     one more letter i and one fewer letter i+1.  W is a sum of irreducible
@@ -271,7 +317,9 @@ def _cut(d: int, k: int, conditions) -> SubspaceQ:
             break
         for content, basis in highest.items():
             if basis:
-                solutions = _solve([{words[c]: v for c, v in row.items()} for row in basis], condition)
+                solutions = _solve(
+                    [{words[c]: v for c, v in row.items()} for row in basis], partial(condition, sliced=True)
+                )
                 # integer multiples of the kernel vectors keep every row integral
                 highest[content] = [
                     combine((lam, basis[j]) for j, lam in integral_coefficients([sol])[0][0].items())
@@ -306,14 +354,15 @@ def _cut(d: int, k: int, conditions) -> SubspaceQ:
         # latest lead first: a row whose lead no pivot holds yet becomes one with no elimination
         spaces[mu] = rref_rows(sorted(filter(None, rows), key=min, reverse=True))
     vectors = [row for content in blocks for row in block(content)]
-    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True)
+    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True), {
+        content: [{words[c]: v for c, v in row.items()} for row in rows] for content, rows in highest.items()
+    }
 
 
 def kernel_space(d: int, n: int, k: int) -> GradedBasis:
     """Degree-k elements that every n-point path signature annihilates."""
     # every column carries the same factor k!, which leaves the kernel alone
-    space = _cut(d, k, [_kernel_conditions(d, n)])
-    return GradedBasis.from_space(d, k, space, n=n, group_tag="kernel")
+    return GradedBasis.from_space(d, k, *_cut(d, k, [_kernel_conditions(d, n)]), n=n, group_tag="kernel")
 
 
 def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
@@ -325,12 +374,12 @@ def invariant_space(d: int, n: int, k: int, group: PermGroup) -> GradedBasis:
     if group.n != n:
         raise ValueError("group acts on the wrong number of points")
     conditions = [_group_conditions(d, n, group.generators)] if group.generators else []
-    return GradedBasis.from_space(d, k, _cut(d, k, conditions), n=n, group_tag=group.structure_tag)
+    return GradedBasis.from_space(d, k, *_cut(d, k, conditions), n=n, group_tag=group.structure_tag)
 
 
-def _timerev_conditions(d: int) -> Callable[[dict[Word, int]], list[dict]]:
+def _timerev_conditions(d: int) -> Callable[..., list[dict]]:
     """Antipode minus original of a word combination: zero when it is time-reversal fixed."""
-    return lambda row: [add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)]
+    return lambda row, sliced=False: [add_scaled(dict(antipode(TensorElement(d, row)).terms), -1, row)]
 
 
 def timerev_space(d: int, k: int) -> GradedBasis:
@@ -389,8 +438,7 @@ def loopclosure_combinations(elements: list[TensorElement], segments: int) -> Su
 def loopclosure_space(d: int, k: int, segments: int | None = None) -> GradedBasis:
     """Degree-k elements stable under left and right loop closure."""
     m = segments if segments is not None else k
-    space = _cut(d, k, [_closure_conditions(d, m)])
-    return GradedBasis.from_space(d, k, space, group_tag="loopclosure")
+    return GradedBasis.from_space(d, k, *_cut(d, k, [_closure_conditions(d, m)]), group_tag="loopclosure")
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +465,8 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
         generators = stabilizer_structural(d, n).generators
         if generators:
             builders.append((n, partial(_group_conditions, d, n, generators)))
-    space = _cut(d, k, (build() for _, build in sorted(builders, key=lambda pair: pair[0])))
-    return GradedBasis.from_space(d, k, space, group_tag="volume-invariants")
+    conditions = (build() for _, build in sorted(builders, key=lambda pair: pair[0]))
+    return GradedBasis.from_space(d, k, *_cut(d, k, conditions), group_tag="volume-invariants")
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +501,30 @@ def is_in_kernel(x: TensorElement, n: int, conditions: dict | None = None) -> bo
     return _meets(x, conditions[x.d, n])
 
 
+def _weyl_dimension(content: tuple[int, ...]) -> int:
+    """dim S_lambda(Q^d) for lambda = content, d = len(content), by Weyl's dimension formula."""
+    pairs = list(combinations(range(len(content)), 2))
+    return math.prod(content[i] - content[j] + j - i for i, j in pairs) // math.prod(j - i for i, j in pairs)
+
+
 def dim_image(basis: GradedBasis, n: int) -> int:
-    """Dimension of the image of the basis span under the n-point map."""
+    """Dimension of the image of the basis span under the n-point map.
+
+    The map commutes with GL_d, so on a span that `_cut` built its rank is
+    the sum over lambda of its rank on HW_lambda times dim S_lambda(Q^d)
+    (Fulton and Harris, *Representation Theory*, Lecture 15), each rank
+    solved on the slice.  Any other span is not known to be GL_d-stable:
+    its rank is that of all its elements' polynomial columns.
+    """
     if basis.dim == 0:
         return 0
-    # the rank of the basis elements' polynomial columns
-    return basis.dim - _solve([x.terms for x in basis.elements], _kernel_conditions(basis.d, n)).dim
+    condition = _kernel_conditions(basis.d, n)
+    if basis.highest is None:
+        return basis.dim - _solve([x.terms for x in basis.elements], condition).dim
+    return sum(
+        (len(rows) - _solve(rows, partial(condition, sliced=True)).dim) * _weyl_dimension(content)
+        for content, rows in basis.highest.items() if rows
+    )
 
 
 def conjecture_evidence(d: int, k: int) -> dict:

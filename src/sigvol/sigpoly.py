@@ -293,22 +293,6 @@ class IncrementPolynomial(SparseTerms):
         )
         return IncrementPolynomial(self.d, self.n, combine(shifted))
 
-    def evaluate(self, increments: Sequence[Sequence]) -> QQ:
-        """Evaluate at concrete increment vectors (one per segment)."""
-        if len(increments) != self.n - 1:
-            raise ValueError("expected one increment vector per segment")
-        values = [qq(c) for vec in increments for c in vec]
-        if len(values) != self.nvars:
-            raise ValueError("increment vectors do not match d")
-        total = Q0
-        for m, c in self.terms.items():
-            term = c
-            for idx, e in enumerate(m):
-                if e:
-                    term *= values[idx] ** e
-            total += term
-        return total
-
     def __repr__(self) -> str:
         return f"IncrementPolynomial(d={self.d}, n={self.n}, nterms={len(self.terms)})"
 
@@ -386,9 +370,15 @@ class SigPolyCalculator:
     the packed monomial of its content and no quotient dict is built.  A
     quotient of one word reads the `_poly` memo, the leaf of the same
     recursion.
+
+    A `sliced` calculator gives the polynomials on the slice a[s][i] = 0
+    for s < i: the monomials free of those variables.  There segment s
+    takes no letter above s, so every prefix that segment s consumes ends
+    before the first such letter, and the closing totals of
+    `closure_differences` drop the sliced variables.
     """
 
-    def __init__(self, d: int, n: int):
+    def __init__(self, d: int, n: int, sliced: bool = False):
         if d < 1 or n < 1:
             raise ValueError("need d >= 1 and n >= 1")
         self.d = d
@@ -398,6 +388,8 @@ class SigPolyCalculator:
         self._letters = [()] + [
             (0,) + tuple(_unit((s - 1) * d + i) for i in range(d)) for s in range(1, n)
         ]
+        # _top[s]: the largest letter segment s takes (index 0 unused)
+        self._top = [min(s, d) if sliced else d for s in range(n)]
 
     def _poly(self, s: int, word: Word) -> dict[int, int]:
         # L! times the polynomial of `word` (length L) on segments s..n-1
@@ -409,10 +401,12 @@ class SigPolyCalculator:
             return cached
         length = len(word)
         _check_degree(length)
-        letters = self._letters[s]
+        letters, top = self._letters[s], self._top[s]
         out = dict(self._poly(s + 1, word))
         seg = 0
         for j in range(1, length + 1):
+            if word[j - 1] > top:
+                break  # a[s][word[j-1]] is 0 on the slice: so is every longer prefix's term
             seg += letters[word[j - 1]]
             tail = self._poly(s + 1, word[j:])
             if tail:
@@ -444,9 +438,11 @@ class SigPolyCalculator:
             if s == self.n:
                 return {}  # no segment: only the empty word is nonzero, and it is alone
             # the one segment consumes the whole word: its monomial is the word's content
-            letters = self._letters[s]
+            letters, top = self._letters[s], self._top[s]
             out: dict[int, int] = {}
             for w, c in y.items():
+                if max(w) > top:
+                    continue  # the word's monomial is 0 on the slice
                 m = sum(letters[i] for i in w)
                 total = out.get(m, 0) + c
                 if total:
@@ -457,19 +453,28 @@ class SigPolyCalculator:
         # split each word w = p v at j = |p| by the content of p (a packed monomial
         # of degree j); the left quotient at (j, content) is the sum of y_w v.  When
         # segment s+1 is the last, it consumes v whole, so v is kept as its content.
-        letters = self._letters[s]
+        letters, top = self._letters[s], self._top[s]
         last = s + 1 == self.n - 1
-        after = self._letters[s + 1]
+        after, after_top = self._letters[s + 1], self._top[s + 1]
         quotients: list[dict[int, dict]] = [{} for _ in range(length + 1)]
+        d = self.d
         for w, c in y.items():
+            # on the slice p ends before the first letter above top, and a last v
+            # starts after the last letter above after_top; no search where none is cut
+            stop = length if top >= d else next((j for j, a in enumerate(w) if a > top), length)
+            first = 0
             if last:
                 tails = [0] * (length + 1)
                 for j in range(length - 1, -1, -1):
                     tails[j] = tails[j + 1] + after[w[j]]
+                if after_top < d:
+                    first = next((j + 1 for j in range(length - 1, -1, -1) if w[j] > after_top), 0)
             seg = 0
-            for j in range(length + 1):
+            for j in range(stop + 1):
                 if j:
                     seg += letters[w[j - 1]]
+                if j < first:
+                    continue
                 quotient = quotients[j].setdefault(seg, {})
                 v = tails[j] if last else w[j:]
                 total = quotient.get(v, 0) + c
@@ -497,9 +502,12 @@ class SigPolyCalculator:
         polynomial of one part times (-1)^|c| prod_{i in c} T[i] for the closing
         part c: v on the right, u on the left.  An empty c gives the open
         polynomial, which cancels.  Each side takes one combination and one
-        product per letter multiset of c.
+        product per letter multiset of c.  On the slice T[i] drops the a[s][i]
+        with s < i.
         """
-        totals = [{}] + [{self._letters[s][i]: 1 for s in range(1, self.n)} for i in range(1, self.d + 1)]
+        totals = [{}] + [
+            {self._letters[s][i]: 1 for s in range(1, self.n) if i <= self._top[s]} for i in range(1, self.d + 1)
+        ]
         products: dict[Word, dict[int, int]] = {(): {0: 1}}
 
         def total_product(letters: Word) -> dict[int, int]:
@@ -612,12 +620,13 @@ def _int_if_integral(c) -> object:
     return int(c) if c.denominator == 1 else c
 
 
-def permutation_substitution(d: int, n: int, sigma: Sequence[int]) -> LinearSubstitution:
+def permutation_substitution(d: int, n: int, sigma: Sequence[int], sliced: bool = False) -> LinearSubstitution:
     """Substitution realizing control-point permutation on increment variables.
 
     After relabeling points by sigma, the t-th increment becomes
     x_{sigma(t+1)} - x_{sigma(t)}, i.e. a signed consecutive sum of the
-    original increments.
+    original increments.  A `sliced` substitution drops the targets a[s][i]
+    with s < i from every form: it maps onto the slice where they are 0.
     """
     images = tuple(sigma)
     if sorted(images) != list(range(1, n + 1)):
@@ -629,8 +638,13 @@ def permutation_substitution(d: int, n: int, sigma: Sequence[int]) -> LinearSubs
         lo, hi = (a, b) if b > a else (b, a)
         for i in range(1, d + 1):
             var = (t - 1) * d + (i - 1)
-            forms[var] = [((s - 1) * d + (i - 1), sign) for s in range(lo, hi)]
+            forms[var] = [((s - 1) * d + (i - 1), sign) for s in range(lo, hi) if i <= s or not sliced]
     return LinearSubstitution(d, n, n, forms)
+
+
+def slice_mask(d: int, n: int) -> int:
+    """The packed fields of the variables a[s][i] with s < i: a monomial is on the slice when it misses them."""
+    return sum(MAX_DEGREE * _unit((s - 1) * d + i - 1) for s in range(1, n) for i in range(s + 1, d + 1))
 
 
 def substitute_collinear(p: IncrementPolynomial, i: int, lam) -> IncrementPolynomial:

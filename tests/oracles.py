@@ -65,6 +65,19 @@ def timerev_project(x):
     return x + antipode(x)
 
 
+# -- increment polynomials ------------------------------------------------------------
+
+
+def evaluate(p, increments):
+    """The polynomial p at concrete increment vectors, one per segment."""
+    if len(increments) != p.n - 1:
+        raise ValueError("expected one increment vector per segment")
+    values = [QQ(c) for vec in increments for c in vec]
+    if len(values) != p.nvars:
+        raise ValueError("increment vectors do not match d")
+    return sum((c * math.prod(values[idx] ** e for idx, e in enumerate(m) if e) for m, c in p.terms.items()), QQ(0))
+
+
 # -- control-point permutations --------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from sigvol.invariants import (
     words_of_degree,
 )
 from sigvol.posgeom import PermGroup, Permutation, named_group, stabilizer_structural
-from sigvol.sigpoly import PLPath, integral_coefficients, pair, pl_signature, signature_polynomial
+from sigvol.sigpoly import PLPath, _pack, integral_coefficients, pair, pl_signature, signature_polynomial
 
 from oracles import contains_subspace, timerev_project
 
@@ -131,6 +131,29 @@ def test_dim_image_of_rescaled_basis_elements():
         assert dim_image(rescaled, n) == dim_image(basis, n), (d, n, k)
 
 
+@pytest.mark.parametrize(
+    "d, n, k",
+    [(3, 4, k) for k in range(1, 8)] + [(2, 5, k) for k in range(1, 8)]
+    + [(3, 5, 6), (3, 5, 7), (2, 4, 6), (5, 7, 5)],
+)
+def test_dim_image_by_highest_weights_matches_the_full_solve(d, n, k):
+    # a hand-built basis has no highest-weight rows, so its rank is solved over all its elements
+    basis = invariant_space(d, n, k, stabilizer_structural(d, n))
+    by_hand = GradedBasis(d, k, basis.space, basis.elements, n=n)
+    assert basis.highest is not None and by_hand.highest is None
+    assert dim_image(basis, n) == dim_image(by_hand, n)
+
+
+def test_slice_kills_the_condition_of_a_word_no_raising_kills():
+    # E_1 sends the word 2 to the word 1, so the slice says nothing about it: its
+    # kernel condition on 2 points is a[1][2], which is 0 where a[1][2] = 0.  The
+    # membership steps see such elements, so they keep the full conditions.
+    condition = invariants._kernel_conditions(2, 2)
+    assert condition({(2,): 1}) == [{_pack((0, 1)): 1}]
+    assert condition({(2,): 1}, sliced=True) == [{}]
+    assert not is_in_kernel(TensorElement.from_word(2, (2,)), 2)
+
+
 def test_dim_image_against_kernel_intersection():
     # the image dimension is the span's dimension less that of its meet with
     # the whole kernel; (3,4,5), (3,4,6) and (3,5,6) meet a nonzero kernel
@@ -185,7 +208,7 @@ def test_timerev_basis_matches_the_chain():
     # the written-down basis against the antipode condition solved by `_cut`
     for d in (1, 2, 3):
         for k in range(6):
-            solved = invariants._cut(d, k, [invariants._timerev_conditions(d)])
+            solved, _ = invariants._cut(d, k, [invariants._timerev_conditions(d)])
             assert timerev_space(d, k).space == solved, (d, k)
 
 
@@ -406,7 +429,7 @@ def _single_block_cut(d, k, conditions):
         solutions = invariants._solve(rows, condition)
         vectors = [combine((lam, space.basis[j]) for j, lam in sol.items()) for sol in solutions.basis]
         space = SubspaceQ(space.ambient_dim, vectors, _canonical=True)
-    return space
+    return space, None
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -531,7 +554,7 @@ def _letter_content_cut(d, k, conditions):
             vectors += rref_rows(
                 {index[tuple(order[a - 1] + 1 for a in words[c])]: v for c, v in row.items()} for row in basis
             )
-    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True)
+    return SubspaceQ(len(words), sorted(vectors, key=min), _canonical=True), None
 
 
 @pytest.mark.parametrize("name", [*SPACES, "kernel(2,4,8)"])
@@ -542,6 +565,35 @@ def test_highest_weight_chain_matches_letter_content_chain(name, monkeypatch):
     letter_content = build()
     assert highest.space == letter_content.space
     assert highest.elements == letter_content.elements
+
+
+@pytest.mark.parametrize("name", [*SPACES, "kernel(2,4,8)"])
+def test_highest_weight_multiplicities_give_the_dimension(name):
+    # dim W = sum over lambda of m_lambda * dim S_lambda(Q^d), m_lambda = dim HW_lambda(W)
+    basis = SPACES.get(name, lambda: kernel_space(2, 4, 8))()
+    highest = basis.highest
+    if highest is None:  # the time-reversal basis is written down: its chain gives them
+        _, highest = invariants._cut(basis.d, basis.k, [invariants._timerev_conditions(basis.d)])
+    words = words_of_degree(basis.d, basis.k)
+    index = {w: c for c, w in enumerate(words)}
+    for content, rows in highest.items():
+        for row in rows:
+            assert all(type(v) is int for v in row.values())
+            vector = {index[w]: v for w, v in row.items()}
+            assert basis.space.contains(vector)
+            assert all(not _raise(vector, i, words, index) for i in range(1, basis.d))
+    assert sum(len(rows) * invariants._weyl_dimension(content) for content, rows in highest.items()) == basis.dim
+
+
+def test_weyl_dimensions_weighted_by_standard_tableaux_count_the_words():
+    # Schur-Weyl duality: the degree-k words are the sum over lambda of f^lambda
+    # copies of S_lambda(Q^d), so these dimensions weighted by f^lambda sum to d**k
+    for d in (1, 2, 3, 4):
+        for k in range(7):
+            shapes = _partitions(k, d)
+            total = sum(_hook_length_count(shape) * invariants._weyl_dimension(shape + (0,) * (d - len(shape)))
+                        for shape in shapes)
+            assert total == d**k, (d, k)
 
 
 # -- memberships and evidence ------------------------------------------------------------
@@ -653,3 +705,14 @@ def test_fixture_elements_properties():
     loop = fixtures.element("loop_d2_deg6")
     assert loopclosure_membership(loop)
     assert loopclosure_membership(antipode(loop))
+
+
+def test_fixture_elements_are_handed_out_as_copies():
+    # each bundled file is parsed once, so a caller that changed a shared element would change every later one
+    names = ["w1", *fixtures.LEVEL7_NAMES]
+    first = {name: fixtures.element(name) for name in names}
+    for x in first.values():
+        x.terms.clear()
+    assert fixtures.element("w1") == fixtures.load_elements("invariants_d3_n4.txt", 3)["w1"]
+    level7 = fixtures.load_elements("level7_kernel_d4.txt", 4)
+    assert all(fixtures.element(name) == level7[name] for name in fixtures.LEVEL7_NAMES)

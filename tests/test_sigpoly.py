@@ -10,6 +10,7 @@ from sigvol.exactq import qq
 from sigvol.freealg import TensorElement, antipode, concat, parse_element, shuffle, volume_element
 from sigvol.invariants import loopclosure_membership
 from sigvol.sigpoly import (
+    FIELD_BITS,
     MAX_DEGREE,
     IncrementPolynomial,
     PLPath,
@@ -20,13 +21,15 @@ from sigvol.sigpoly import (
     pair,
     parse_polynomial,
     path_pair,
+    permutation_substitution,
     pl_signature,
     polynomial_to_text,
     signature_polynomial,
+    slice_mask,
     substitute_collinear,
 )
 
-from oracles import permute_control_points
+from oracles import evaluate, permute_control_points
 
 
 def random_path(rng, d, n):
@@ -290,7 +293,7 @@ def test_polynomial_matches_concrete_paths():
         path = random_path(rng, d, n)
         w = tuple(rng.randint(1, d) for _ in range(rng.randint(0, 3)))
         poly = signature_polynomial(w, n, d=d)
-        value = poly.evaluate(path.increments())
+        value = evaluate(poly, path.increments())
         expected = pair(pl_signature(path, max(len(w), 1)), TensorElement.from_word(d, w))
         assert value == expected
 
@@ -704,3 +707,31 @@ def test_combination_outside_the_kernel_is_nonzero():
     (coeffs,), _ = integral_coefficients([volume_element(3).terms])
     got = SigPolyCalculator(3, 4).combination(coeffs)
     assert got and got == word_by_word(SigPolyCalculator(3, 4), coeffs)
+
+
+# -- the slice a[s][i] = 0 for s < i ---------------------------------------------------
+
+
+def on_slice(poly, d, n):
+    """The monomials of a packed polynomial free of every a[s][i] with s < i."""
+    sliced = [(s - 1) * d + i - 1 for s in range(1, n) for i in range(s + 1, d + 1)]
+    return {m: v for m, v in poly.items() if not any((m >> (FIELD_BITS * var)) & MAX_DEGREE for var in sliced)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_sliced_polynomials_are_the_full_ones_on_the_slice(d, n):
+    rng = random.Random(100 * d + n)
+    full, sliced = SigPolyCalculator(d, n), SigPolyCalculator(d, n, sliced=True)
+    sigmas = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+    substitutions = [(permutation_substitution(d, n, g), permutation_substitution(d, n, g, sliced=True)) for g in sigmas]
+    for _ in range(10):
+        coeffs = random_combination(rng, d, 5, rng.randint(1, 10))
+        base = full.combination(coeffs)
+        assert {m: v for m, v in base.items() if not m & slice_mask(d, n)} == on_slice(base, d, n)
+        assert sliced.combination(coeffs) == on_slice(base, d, n)
+        assert sliced.closure_differences(coeffs) == [on_slice(p, d, n) for p in full.closure_differences(coeffs)]
+        for w in coeffs:
+            assert sliced._poly(1, w) == on_slice(full._poly(1, w), d, n)
+        for sub, sub_sliced in substitutions:
+            assert sub_sliced.apply_packed(base) == on_slice(sub.apply_packed(base), d, n)
