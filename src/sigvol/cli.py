@@ -407,22 +407,20 @@ def _dispatch(args) -> int:
         elements = _load_fixture(args.fixture, args.d)
         report = {}
         ok = True
-        kernels: dict = {}  # one kernel condition per (d, n)
-        invariance: dict = {}  # one stabilizer condition per (d, n)
-        closures: dict = {}  # one loop-closure condition per (d, m)
+        conditions: dict = {}  # one condition per check and (d, n) or (d, m), shared by all elements
         for name, x in elements.items():
             entry = {}
             for check in checks:
                 if check == "invariant":
                     if args.n < x.d + 1:
                         raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
-                    entry[check] = is_invariant(x, x.d, args.n, invariance)
+                    entry[check] = is_invariant(x, x.d, args.n, conditions)
                 elif check == "kernel":
-                    entry[check] = is_in_kernel(x, args.n, kernels)
+                    entry[check] = is_in_kernel(x, args.n, conditions)
                 elif check == "timerev":
                     entry[check] = antipode(x) == x
                 else:
-                    entry[check] = loopclosure_membership(x, segments=args.segments, conditions=closures)
+                    entry[check] = loopclosure_membership(x, segments=args.segments, conditions=conditions)
                 ok = ok and entry[check]
             report[name] = entry
         _emit({"checks": report, "pass": ok}, fmt,

@@ -413,16 +413,16 @@ def loopclosure_membership(
     Checked as two exact polynomial identities per homogeneous part, with
     m = deg(part) segments before closure (overridable).  Pass one
     `conditions` dict to many calls to share one closure condition per
-    (d, m), with its calculator memo.  Its keys have the form of
-    `is_invariant`'s, so give each function a dict of its own.
+    (d, m), with its calculator memo.
     """
     conditions = {} if conditions is None else conditions
 
     def meets(k: int, part: TensorElement) -> bool:
         m = segments if segments is not None else k
-        if (x.d, m) not in conditions:
-            conditions[x.d, m] = _closure_conditions(x.d, m)
-        return _meets(part, conditions[x.d, m])
+        key = ("loopclosure", x.d, m)
+        if key not in conditions:
+            conditions[key] = _closure_conditions(x.d, m)
+        return _meets(part, conditions[key])
 
     return all(meets(k, part) for k, part in x.graded_parts().items() if k)
 
@@ -483,22 +483,23 @@ def is_invariant(x: TensorElement, d: int, n: int, conditions: dict | None = Non
     if x.d != d:
         raise ValueError("alphabet mismatch")
     conditions = {} if conditions is None else conditions
-    if (d, n) not in conditions:
-        conditions[d, n] = _group_conditions(d, n, stabilizer_structural(d, n).generators)
-    return _meets(x, conditions[d, n])
+    key = ("invariant", d, n)
+    if key not in conditions:
+        conditions[key] = _group_conditions(d, n, stabilizer_structural(d, n).generators)
+    return _meets(x, conditions[key])
 
 
 def is_in_kernel(x: TensorElement, n: int, conditions: dict | None = None) -> bool:
     """Whether the signature polynomial of x on n points vanishes identically.
 
     Pass one `conditions` dict to many calls to share one kernel condition
-    per (d, n), with its calculator memo.  Its keys have the form of
-    `is_invariant`'s, so give each function a dict of its own.
+    per (d, n), with its calculator memo.
     """
     conditions = {} if conditions is None else conditions
-    if (x.d, n) not in conditions:
-        conditions[x.d, n] = _kernel_conditions(x.d, n)
-    return _meets(x, conditions[x.d, n])
+    key = ("kernel", x.d, n)
+    if key not in conditions:
+        conditions[key] = _kernel_conditions(x.d, n)
+    return _meets(x, conditions[key])
 
 
 def _weyl_dimension(content: tuple[int, ...]) -> int:

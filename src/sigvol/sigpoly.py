@@ -18,7 +18,9 @@ polynomial in the increment variables a[s][i] (segment s, coordinate i) that
 evaluates the signature on a generic n-point path.  The map from words to
 these polynomials is linear and turns the shuffle product into the ordinary
 polynomial product; its kernel at fixed n detects elements that vanish on
-every n-point path.
+every n-point path.  `SigPolyCalculator` computes it by one recursion on
+word combinations of one length; a single word is a combination of one
+term, memoized on (segment, word).
 
 Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
@@ -357,19 +359,20 @@ class SigPolyCalculator:
 
     Internally a word of length L maps to L! times its polynomial, packed
     (see the module docstring); `word_poly` and `element_poly` convert to
-    `IncrementPolynomial`.  `_poly` runs the Chen recursion over the first
-    segment for one word, memoized on (segment, suffix word).
+    `IncrementPolynomial`.
 
-    `combination` runs the same recursion on a word combination y of one
-    length L.  On segment s each word w = p v splits by j = |p| and the
-    letter content c of p; the left quotient y_{j,c} = sum of y_{pv} v gives
-    L! P_s(y) = sum over (j, c) of C(L, j) a_s^c (L-j)! P_{s+1}(y_{j,c}),
-    which is `_poly`'s step summed over y.  A quotient that cancels to zero
-    is dropped before anything below it is built.  The last segment
-    consumes the whole rest of a word, so there a quotient word is kept as
-    the packed monomial of its content and no quotient dict is built.  A
-    quotient of one word reads the `_poly` memo, the leaf of the same
-    recursion.
+    `_poly` is the one Chen recursion.  It runs over the first segment on a
+    word combination y of one length L.  On segment s each word w = p v
+    splits by j = |p| and the letter content c of p; the left quotient
+    y_{j,c} = sum of y_{pv} v gives
+    L! P_s(y) = sum over (j, c) of C(L, j) a_s^c (L-j)! P_{s+1}(y_{j,c}).
+    A quotient that cancels to zero is dropped before anything below it is
+    built.  The last segment consumes the whole rest of a word, so there a
+    quotient word is kept as the packed monomial of its content and no
+    quotient dict is built.  A combination c w of one word reads and fills
+    the memo on (segment, w), which keeps the polynomial of w itself and is
+    scaled by c on the way out.  `combination` runs the recursion once per
+    word length.
 
     A `sliced` calculator gives the polynomials on the slice a[s][i] = 0
     for s < i: the monomials free of those variables.  There segment s
@@ -391,31 +394,6 @@ class SigPolyCalculator:
         # _top[s]: the largest letter segment s takes (index 0 unused)
         self._top = [min(s, d) if sliced else d for s in range(n)]
 
-    def _poly(self, s: int, word: Word) -> dict[int, int]:
-        # L! times the polynomial of `word` (length L) on segments s..n-1
-        if s == self.n:
-            return {0: 1} if not word else {}
-        key = (s, word)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        length = len(word)
-        _check_degree(length)
-        letters, top = self._letters[s], self._top[s]
-        out = dict(self._poly(s + 1, word))
-        seg = 0
-        for j in range(1, length + 1):
-            if word[j - 1] > top:
-                break  # a[s][word[j-1]] is 0 on the slice: so is every longer prefix's term
-            seg += letters[word[j - 1]]
-            tail = self._poly(s + 1, word[j:])
-            if tail:
-                binom = math.comb(length, j)
-                # terms of different j differ in their segment-s degree, so none meet
-                out.update({m + seg: binom * c for m, c in tail.items()})
-        self._memo[key] = out
-        return out
-
     def combination(self, coeffs: Mapping[Word, int]) -> dict[int, int]:
         """Sum of c * |w|! * (polynomial of w) over integer coefficients c.
 
@@ -425,44 +403,34 @@ class SigPolyCalculator:
         out: dict[int, int] = {}
         for length, part in _by_length({w: c for w, c in coeffs.items() if c}).items():
             _check_degree(length)
-            out.update(self._combination(1, length, part))
+            out.update(self._poly(1, length, part))
         return out
 
-    def _combination(self, s: int, length: int, y: dict[Word, int]) -> dict[int, int]:
+    def _poly(self, s: int, length: int, y: dict[Word, int]) -> dict[int, int]:
         # L! times the polynomial of the nonzero length-L combination y on segments s..n-1
+        if s == self.n:
+            return {0: y[EMPTY_WORD]} if not length else {}  # only the empty word is nonzero
         if len(y) == 1:
-            (w, c), = y.items()
-            poly = self._poly(s, w)  # read only: every caller copies what it keeps
-            return poly if c == 1 else {m: c * v for m, v in poly.items()}
-        if s >= self.n - 1:  # reached from `combination` only, when n <= 2
-            if s == self.n:
-                return {}  # no segment: only the empty word is nonzero, and it is alone
-            # the one segment consumes the whole word: its monomial is the word's content
-            letters, top = self._letters[s], self._top[s]
-            out: dict[int, int] = {}
-            for w, c in y.items():
-                if max(w) > top:
-                    continue  # the word's monomial is 0 on the slice
-                m = sum(letters[i] for i in w)
-                total = out.get(m, 0) + c
-                if total:
-                    out[m] = total
-                else:
-                    del out[m]
-            return out
+            (word, scale), = y.items()
+            if scale != 1:
+                return {m: scale * v for m, v in self._poly(s, length, {word: 1}).items()}
+            poly = self._memo.get((s, word))
+            if poly is not None:
+                return poly  # read only: every caller copies what it keeps
         # split each word w = p v at j = |p| by the content of p (a packed monomial
         # of degree j); the left quotient at (j, content) is the sum of y_w v.  When
         # segment s+1 is the last, it consumes v whole, so v is kept as its content.
         letters, top = self._letters[s], self._top[s]
         last = s + 1 == self.n - 1
-        after, after_top = self._letters[s + 1], self._top[s + 1]
+        if last:
+            after, after_top = self._letters[s + 1], self._top[s + 1]
         quotients: list[dict[int, dict]] = [{} for _ in range(length + 1)]
         d = self.d
         for w, c in y.items():
             # on the slice p ends before the first letter above top, and a last v
             # starts after the last letter above after_top; no search where none is cut
             stop = length if top >= d else next((j for j, a in enumerate(w) if a > top), length)
-            first = 0
+            first = length if s == self.n - 1 else 0  # the last segment consumes the whole word
             if last:
                 tails = [0] * (length + 1)
                 for j in range(length - 1, -1, -1):
@@ -488,9 +456,11 @@ class SigPolyCalculator:
             for seg, quotient in by_content.items():
                 if not quotient:
                     continue  # cancelled inside segment s's prefix: nothing below is built
-                tail = quotient if last else self._combination(s + 1, length - j, quotient)
+                tail = quotient if last else self._poly(s + 1, length - j, quotient)
                 # terms of different (j, content) differ in their segment-s monomial, so none meet
                 out.update({m + seg: binom * v for m, v in tail.items()})
+        if len(y) == 1:
+            self._memo[s, word] = out
         return out
 
     def closure_differences(self, coeffs: Mapping[Word, int]) -> list[dict[int, int]]:

@@ -11,7 +11,7 @@ from itertools import combinations
 from sigvol.exactq import QQ, SubspaceQ, det_q, nullspace
 from sigvol.freealg import antipode, permutation_sign
 from sigvol.posgeom import CyclicInstance
-from sigvol.sigpoly import permutation_substitution
+from sigvol.sigpoly import FIELD_BITS, permutation_substitution
 
 
 # -- exact linear algebra --------------------------------------------------------
@@ -76,6 +76,32 @@ def evaluate(p, increments):
     if len(values) != p.nvars:
         raise ValueError("increment vectors do not match d")
     return sum((c * math.prod(values[idx] ** e for idx, e in enumerate(m) if e) for m, c in p.terms.items()), QQ(0))
+
+
+def word_polynomial(d, n, word, sliced=False):
+    """L! times the packed polynomial of one word of length L on a generic n-point path.
+
+    The Chen recursion over the first segment, one word at a time: L! P_s(w)
+    sums, over the prefixes w[:j], C(L, j) times the monomial of the letters
+    of w[:j] on segment s times (L-j)! P_{s+1}(w[j:]).  `sliced` keeps only
+    the monomials free of every a[s][i] with s < i: segment s takes no letter
+    above s.
+    """
+
+    def rec(s, w):
+        if s == n:
+            return {0: 1} if not w else {}
+        out = dict(rec(s + 1, w))
+        seg = 0
+        for j in range(1, len(w) + 1):
+            if sliced and w[j - 1] > s:
+                break  # a[s][w[j-1]] is 0 on the slice, and so is every longer prefix's term
+            seg += 1 << (FIELD_BITS * ((s - 1) * d + w[j - 1] - 1))
+            # terms of different j differ in their segment-s degree, so none meet
+            out.update({m + seg: math.comb(len(w), j) * c for m, c in rec(s + 1, w[j:]).items()})
+        return out
+
+    return rec(1, tuple(word))
 
 
 # -- control-point permutations --------------------------------------------------

@@ -308,7 +308,7 @@ def test_loopclosure_membership_shares_condition_builders():
     for segments in (None, 3):
         for x in elements:
             assert loopclosure_membership(x, segments, shared) == loopclosure_membership(x, segments)
-    assert sorted(shared) == [(2, 2), (2, 3), (2, 4), (2, 6)]
+    assert sorted(shared) == [("loopclosure", 2, m) for m in (2, 3, 4, 6)]
 
 
 # -- simultaneous invariants -----------------------------------------------------------
@@ -619,7 +619,7 @@ def test_is_invariant_shares_condition_builders():
     for n in (4, 5):
         for x in elements:
             assert is_invariant(x, 3, n, shared) == is_invariant(x, 3, n)
-    assert sorted(shared) == [(3, 4), (3, 5)]
+    assert sorted(shared) == [("invariant", 3, 4), ("invariant", 3, 5)]
 
 
 def test_is_in_kernel_agrees_with_the_polynomial_and_shares_conditions():
@@ -632,9 +632,27 @@ def test_is_in_kernel_agrees_with_the_polynomial_and_shares_conditions():
         for x in elements:
             expected = signature_polynomial(x, n).is_zero()
             assert is_in_kernel(x, n, shared) == is_in_kernel(x, n) == expected
-    assert sorted(shared) == [(3, 3), (3, 4), (3, 5), (3, 6)]
+    assert sorted(shared) == [("kernel", 3, n) for n in (3, 4, 5, 6)]
     assert not is_in_kernel(volume_element(3), 4)
     assert is_in_kernel(fixtures.element("vol3_concat_sq"), 5)
+
+
+def test_one_conditions_dict_serves_every_membership_check():
+    # the three checks key their conditions by kind, so a dict shared between
+    # them answers as fresh ones do: vol3 is invariant on 4 points but not in
+    # the 4-point kernel, it vanishes on 3 points, and closing 3 or 4 of its
+    # segments into a loop is visible
+    vol3 = volume_element(3)
+    shared: dict = {}
+    for _ in range(2):
+        assert not is_in_kernel(vol3, 4, shared) and not is_in_kernel(vol3, 4)
+        assert is_invariant(vol3, 3, 4, shared) and is_invariant(vol3, 3, 4)
+        assert is_in_kernel(vol3, 3, shared) and is_in_kernel(vol3, 3)
+        for m in (3, 4):
+            assert not loopclosure_membership(vol3, segments=m, conditions=shared)
+            assert not loopclosure_membership(vol3, segments=m)
+    assert sorted(shared) == [("invariant", 3, 4), ("kernel", 3, 3), ("kernel", 3, 4),
+                              ("loopclosure", 3, 3), ("loopclosure", 3, 4)]
 
 
 def test_is_invariant_rejects_single_letter():

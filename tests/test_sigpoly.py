@@ -29,7 +29,7 @@ from sigvol.sigpoly import (
     substitute_collinear,
 )
 
-from oracles import evaluate, permute_control_points
+from oracles import evaluate, permute_control_points, word_polynomial
 
 
 def random_path(rng, d, n):
@@ -646,11 +646,11 @@ def test_packed_field_overflow_raises():
 # -- word combinations -------------------------------------------------------------
 
 
-def word_by_word(calc, coeffs):
-    """The sum of c * |w|! * (polynomial of w), one memoized word polynomial at a time."""
+def word_by_word(d, n, coeffs):
+    """The sum of c * |w|! * (polynomial of w), one word polynomial of the oracle at a time."""
     out = {}
     for w, c in coeffs.items():
-        for m, v in calc._poly(1, w).items():
+        for m, v in word_polynomial(d, n, w).items():
             out[m] = out.get(m, 0) + c * v
     return {m: v for m, v in out.items() if v}
 
@@ -676,7 +676,7 @@ def test_combination_matches_the_word_by_word_sum(d, n):
             swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
             coeffs[w] = coeffs.get(w, 0) + 1
             coeffs[swapped] = coeffs.get(swapped, 0) - 1
-        assert SigPolyCalculator(d, n).combination(coeffs) == word_by_word(SigPolyCalculator(d, n), coeffs)
+        assert SigPolyCalculator(d, n).combination(coeffs) == word_by_word(d, n, coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -691,9 +691,9 @@ def test_combination_of_cancelling_and_zero_coefficients(n):
     # on at most one segment the rearranged words leave the rest alone
     rest = {(2, 3, 1): 3, (1,): -1, (): 5}
     both = {**rest, **one_segment}
-    assert calc.combination(both) == word_by_word(calc, both)
+    assert calc.combination(both) == word_by_word(3, n, both)
     if n <= 2:
-        assert calc.combination(both) == calc.combination(rest) == word_by_word(calc, rest)
+        assert calc.combination(both) == calc.combination(rest) == word_by_word(3, n, rest)
 
 
 def test_level_seven_elements_combine_to_zero_on_six_points():
@@ -706,7 +706,7 @@ def test_level_seven_elements_combine_to_zero_on_six_points():
 def test_combination_outside_the_kernel_is_nonzero():
     (coeffs,), _ = integral_coefficients([volume_element(3).terms])
     got = SigPolyCalculator(3, 4).combination(coeffs)
-    assert got and got == word_by_word(SigPolyCalculator(3, 4), coeffs)
+    assert got and got == word_by_word(3, 4, coeffs)
 
 
 # -- the slice a[s][i] = 0 for s < i ---------------------------------------------------
@@ -732,6 +732,7 @@ def test_sliced_polynomials_are_the_full_ones_on_the_slice(d, n):
         assert sliced.combination(coeffs) == on_slice(base, d, n)
         assert sliced.closure_differences(coeffs) == [on_slice(p, d, n) for p in full.closure_differences(coeffs)]
         for w in coeffs:
-            assert sliced._poly(1, w) == on_slice(full._poly(1, w), d, n)
+            assert sliced.combination({w: 1}) == on_slice(word_polynomial(d, n, w), d, n)
+            assert sliced.combination({w: 1}) == word_polynomial(d, n, w, sliced=True)
         for sub, sub_sliced in substitutions:
             assert sub_sliced.apply_packed(base) == on_slice(sub.apply_packed(base), d, n)
