@@ -59,7 +59,9 @@ from .freealg import (
     volume_element,
 )
 from .posgeom import PermGroup, stabilizer_structural
-from .sigpoly import SigPolyCalculator, integral_coefficients, permutation_substitution, slice_mask
+from .sigpoly import (
+    SigPolyCalculator, check_degree, integral_coefficients, permutation_substitution, slice_mask,
+)
 
 
 def words_of_degree(d: int, k: int) -> list[Word]:
@@ -128,8 +130,11 @@ class GradedBasis:
 # ---------------------------------------------------------------------------
 
 
-# Every condition takes a word combination and `sliced`: with it, the condition
-# polynomials are restricted to the slice a[s][i] = 0 for s < i (see `_cut`).
+# Every condition takes a word combination and `sliced`: with it, the rows are
+# highest-weight vectors (every E_i kills them, see `_cut`), and the conditions
+# may use that: the polynomial ones are restricted to the slice a[s][i] = 0 for
+# s < i, and loop closure on at least as many segments as the degree becomes a
+# word identity read at the standard words.
 
 
 def _group_conditions(d: int, n: int, generators) -> Callable[..., list[dict]]:
@@ -153,10 +158,98 @@ def _kernel_conditions(d: int, n: int) -> Callable[..., list[dict]]:
     return lambda row, sliced=False: [calc(sliced).combination(row)]
 
 
+def _rearrangements(letters: Word, orders: dict[Word, list[Word]]) -> list[Word]:
+    """The distinct orderings of a sorted tuple of letters, memoized in `orders`."""
+    if letters not in orders:
+        orders[letters] = [
+            (a,) + rest
+            for i, a in enumerate(letters) if not i or letters[i - 1] != a
+            for rest in _rearrangements(letters[:i] + letters[i + 1:], orders)
+        ] if letters else [()]
+    return orders[letters]
+
+
+def _closure_adjoint(word: Word, left: bool, orders: dict[Word, list[Word]]) -> dict[Word, int]:
+    """The row A(w') of k! Phi at w' = word: w -> k! times the coefficient of w' in Phi(w), k = |w'|.
+
+    Phi is loop closure on words, right or `left`: <S(closed X), x> =
+    <S(X), Phi(x)> for every path X.  Chen's identity appends exp(-T), T the
+    increment of X, and Ree's shuffle theorem turns each product of the
+    coordinates of T with a pairing into a shuffle, so
+    Phi_R(w) = sum over w = uv of (-1)^|v| / |v|! u sh v_1 sh ... sh v_|v|.
+    Read off at w', each set P of positions of w' gives (-1)^|P| k! over the
+    multinomial of the letter content of w'|_P, at every word (w' without P) r
+    for r a distinct rearrangement of w'|_P; the left side puts r in front.
+    `orders` memoizes `_rearrangements` and may serve many calls.
+    """
+    k = len(word)
+    # each subsequence of w' (the positions kept) -> the number of position sets P leaving it
+    kept: dict[Word, int] = {(): 1}
+    for a in word:
+        grown = dict(kept)
+        for rest, count in kept.items():
+            grown[rest + (a,)] = grown.get(rest + (a,), 0) + count
+        kept = grown
+    row: dict[Word, int] = {}
+    for rest, count in kept.items():
+        taken = sorted(word)
+        for a in rest:
+            taken.remove(a)
+        orderings = _rearrangements(tuple(taken), orders)
+        # their number is the multinomial, which divides |P|!, which divides k!
+        scale = (-1) ** len(taken) * count * (math.factorial(k) // len(orderings))
+        for r in orderings:
+            w = r + rest if left else rest + r
+            row[w] = row.get(w, 0) + scale
+    return {w: v for w, v in row.items() if v}
+
+
+def _standard_words(shape: tuple[int, ...]) -> list[Word]:
+    """The word of each standard tableau of the shape: letter r + 1 at the positions in its row r."""
+    words = []
+    for rows in _standard_tableaux(shape):
+        word = [0] * sum(shape)
+        for r, row in enumerate(rows):
+            for p in row:
+                word[p] = r + 1
+        words.append(tuple(word))
+    return words
+
+
 def _closure_conditions(d: int, m: int) -> Callable[..., list[dict]]:
-    """Per side: closed minus open packed polynomial of a word combination on m segments."""
+    """Per side, right then left: closure minus identity of a word combination on m segments.
+
+    In general these are the closed minus the open packed polynomials
+    (`SigPolyCalculator.closure_differences`).  A `sliced` row x of degree
+    k <= m is a highest-weight vector, and there the condition is the word
+    identity Phi(x) = x, read at the standard words w' of its letter content
+    lambda (see `_cut`): one dict per side from each w' to
+    k! <Phi(x) - x, w'> = sum of x_w A(w')[w] - k! x_w', all integers.  The
+    A(w') rows, the rearrangements they read and the standard words are
+    cached on this condition, so they go when the solve that holds it ends.
+    """
     calc = cache(partial(SigPolyCalculator, d, m + 1))
-    return lambda row, sliced=False: calc(sliced).closure_differences(row)
+    orders: dict[Word, list[Word]] = {}
+    adjoint = cache(lambda w, left: _closure_adjoint(w, left, orders))
+    standard = cache(_standard_words)
+
+    def conditions(row: dict[Word, int], sliced: bool = False) -> list[dict]:
+        word = next(iter(row), ())
+        k = len(word)
+        if not sliced or m < k:
+            return calc(sliced).closure_differences(row)
+        check_degree(k)  # either path refuses the same degrees
+        shape = tuple(c for c in (word.count(a) for a in range(1, d + 1)) if c)
+        scale = math.factorial(k)
+        return [
+            {
+                w: v for w in standard(shape)
+                if (v := sum(c * adjoint(w, left).get(u, 0) for u, c in row.items()) - scale * row.get(w, 0))
+            }
+            for left in (False, True)
+        ]
+
+    return conditions
 
 
 def _solve(rows: list[Mapping[Word, QQ]], conditions) -> SubspaceQ:
@@ -286,6 +379,26 @@ def _cut(d: int, k: int, conditions) -> tuple[SubspaceQ, dict[tuple[int, ...], l
     they keep the full conditions: the word 2, which E_1 does not kill,
     has the kernel condition a[1][2] on 2 points, and that is 0 on the
     slice.  The time reversal condition is on words and takes no slice.
+
+    Loop closure on m >= k segments takes no polynomial in these solves.
+    Closing a path X appends the segment -T, T the increment of X, so
+    Chen's identity and Ree's shuffle theorem give a linear map Phi on the
+    degree-k words, one per side, with <S(closed X), x> = <S(X), Phi(x)> for
+    every X (`_closure_adjoint`).  On m >= k segments the polynomials of
+    distinct degree-k words are independent: a[1][w_1]...a[k][w_k] occurs
+    only in that of w, so the (m+1)-point kernel is 0.  So x survives
+    closure exactly when Phi(x) = x.  Phi commutes with GL_d, as
+    deconcatenation and shuffles do, so for a highest-weight x of weight
+    lambda, Phi(x) - x lies in HW_lambda of the whole degree-k space: the
+    span of the standard polytabloids e_T.  A tabloid of shape lambda is a
+    word of content lambda (letter r + 1 at the entries of row r), and {T}
+    is the dominance-largest tabloid of e_T, with coefficient 1 (Sagan,
+    2.5).  So the coefficients of the e_T at the standard words {T'} form a
+    unitriangular matrix in an order that extends dominance, and a vector of
+    that span is zero exactly when its coefficients at the f^lambda standard
+    words are.  The closure condition of these solves is those coefficients
+    of Phi(x) - x.  On m < k segments the kernel is not 0 and the condition
+    keeps its polynomials, as do the membership steps above.
 
     Each dominant block is then rebuilt, highest first in reverse-lex order,
     as W_mu = HW_mu(W) + sum_i F_i W_{mu + alpha_i}, where mu + alpha_i has

@@ -26,7 +26,11 @@ Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
 polynomial after permuting control points or merging a collinear point.
 Closing the path into a loop needs none: Chen's identity gives the closed
-polynomial from the open path's own segments (`closure_differences`).
+polynomial from the open path's own segments (`closure_differences`).  The
+loop-closure conditions call it for memberships, for combinations of given
+elements and on fewer segments than the degree; highest-weight rows on at
+least as many segments need no polynomial, since there closure is an
+identity on words (`invariants._closure_conditions`).
 
 The computational kernel works on integers.  Scaled by L!, the polynomial of
 a length-L word has integer (multinomial) coefficients, and the Chen step
@@ -309,7 +313,7 @@ def _unit(var: int) -> int:
     return 1 << (FIELD_BITS * var)
 
 
-def _check_degree(degree: int) -> None:
+def check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise OverflowError(
             f"total degree {degree} exceeds the packed monomial field (at most {MAX_DEGREE})"
@@ -319,7 +323,7 @@ def _check_degree(degree: int) -> None:
 def _pack(mono: Monomial) -> int:
     if any(e < 0 for e in mono):
         raise ValueError("negative exponent in a monomial")
-    _check_degree(sum(mono))
+    check_degree(sum(mono))
     packed = 0
     for var, e in enumerate(mono):
         packed |= e << (FIELD_BITS * var)
@@ -402,7 +406,7 @@ class SigPolyCalculator:
         """
         out: dict[int, int] = {}
         for length, part in _by_length({w: c for w, c in coeffs.items() if c}).items():
-            _check_degree(length)
+            check_degree(length)
             out.update(self._poly(1, length, part))
         return out
 
@@ -489,7 +493,7 @@ class SigPolyCalculator:
         groups: dict[tuple[int, Word], dict[Word, int]] = {}
         for w, c in coeffs.items():
             length = len(w)
-            _check_degree(length)
+            check_degree(length)
             for j in range(length):
                 scaled = (-1) ** (length - j) * math.comb(length, j) * c
                 add_scaled(groups.setdefault((0, tuple(sorted(w[j:]))), {}), scaled, {w[:j]: 1})

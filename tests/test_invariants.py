@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cache, partial
 
 import pytest
 
@@ -28,7 +29,9 @@ from sigvol.invariants import (
     words_of_degree,
 )
 from sigvol.posgeom import PermGroup, Permutation, named_group, stabilizer_structural
-from sigvol.sigpoly import PLPath, _pack, integral_coefficients, pair, pl_signature, signature_polynomial
+from sigvol.sigpoly import (
+    PLPath, SigPolyCalculator, _pack, integral_coefficients, pair, path_pair, pl_signature, signature_polynomial,
+)
 
 from oracles import contains_subspace, timerev_project
 
@@ -309,6 +312,118 @@ def test_loopclosure_membership_shares_condition_builders():
         for x in elements:
             assert loopclosure_membership(x, segments, shared) == loopclosure_membership(x, segments)
     assert sorted(shared) == [("loopclosure", 2, m) for m in (2, 3, 4, 6)]
+
+
+# -- loop closure as a word identity ----------------------------------------------------
+
+
+def _integer_points(rng, d, count):
+    return [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_adjoint_matches_the_numeric_chen_kernel(d):
+    # A(w')[w] = k! <Phi(w), w'>, and <S(closed X), w> = <S(X), Phi(w)>, so
+    # k! <S(closed X), w> = sum over w' of A(w')[w] <S(X), w'> on either side,
+    # for paths of fewer and of at least k segments: the identity holds on
+    # every path, and the segment count only decides whether it is all there is
+    rng = random.Random(53 + d)
+    orders = {}
+    for k in range(6):
+        words = words_of_degree(d, k)
+        for m in sorted({max(k - 2, 1), k, k + 1}):
+            pts = _integer_points(rng, d, m + 1)
+            open_sig, right, left = (pl_signature(PLPath(p), k) for p in (pts, pts + pts[:1], pts[-1:] + pts))
+            for side, closed in ((False, right), (True, left)):
+                pulled = {}
+                for target in words:
+                    for w, v in invariants._closure_adjoint(target, side, orders).items():
+                        pulled[w] = pulled.get(w, 0) + v * open_sig.coeff(target)
+                for w in words:
+                    assert pulled.get(w, 0) == math.factorial(k) * closed.coeff(w), (d, k, m, w, side)
+
+
+def test_standard_words_detect_zero_in_the_highest_weight_space():
+    # the coefficients of the standard polytabloids at the standard words form
+    # a nonsingular matrix with unit diagonal, so a vector in their span whose
+    # coefficients at the standard words vanish is zero
+    for k in range(9):
+        for shape in _partitions(k, 4):
+            d = len(shape)
+            place = [d ** (k - 1 - p) for p in range(k)]
+            leads = [sum((a - 1) * place[p] for p, a in enumerate(w)) for w in invariants._standard_words(shape)]
+            vectors = invariants._polytabloids(d, shape)
+            assert len(leads) == len(vectors) == _hook_length_count(shape)
+            matrix = [[Q1 * vector.get(c, 0) for vector in vectors] for c in leads]
+            assert all(matrix[i][i] == 1 for i in range(len(leads)))
+            assert nullspace(SparseMatrixQ.from_rows(matrix)).dim == 0, shape
+
+
+def test_kernel_vanishes_on_one_more_point_than_the_degree():
+    # the lemma behind the word identity: on m >= k segments, distinct
+    # degree-k words have independent polynomials
+    for d in (1, 2, 3):
+        for k in range(7):
+            assert kernel_space(d, k + 1, k).dim == 0, (d, k)
+
+
+def _polynomial_closure_conditions(d, m):
+    # loop closure by closed minus open polynomials on every row, highest-weight
+    # or not: the reference the word identity must agree with
+    calc = cache(lambda sliced: SigPolyCalculator(d, m + 1, sliced))
+    return lambda row, sliced=False: calc(sliced).closure_differences(row)
+
+
+CLOSURE_CHAINS = [
+    *((f"loopclosure({d},{k},segments={m})", partial(loopclosure_space, d, k, segments=m))
+      for d, ks in ((2, range(1, 8)), (3, range(1, 6)), (4, range(1, 6))) for k in ks for m in (k, k + 1)),
+    *((f"inv_d({d},{k})", partial(inv_d_space, d, k)) for d, k in ((2, 6), (2, 7), (2, 8), (4, 5), (6, 3))),
+]
+
+
+@pytest.mark.parametrize("name, build", CLOSURE_CHAINS, ids=[name for name, _ in CLOSURE_CHAINS])
+def test_word_closure_chain_matches_the_polynomial_chain(name, build, monkeypatch):
+    words = build()
+    monkeypatch.setattr(invariants, "_closure_conditions", _polynomial_closure_conditions)
+    polynomial = build()
+    assert words.space == polynomial.space
+    assert words.elements == polynomial.elements
+
+
+def test_highest_weight_closure_builds_no_polynomial(monkeypatch):
+    # the chain's rows on at least k segments take the word identity; rows on
+    # fewer segments, memberships and combinations keep the polynomials
+    calls = []
+    closure_differences = SigPolyCalculator.closure_differences
+
+    def counted(self, coeffs):
+        calls.append(self.n - 1)
+        return closure_differences(self, coeffs)
+
+    monkeypatch.setattr(SigPolyCalculator, "closure_differences", counted)
+    assert loopclosure_space(2, 5).dim == 0 and loopclosure_space(3, 4, segments=6).dim == 6
+    assert inv_d_space(2, 6).dim == 4
+    assert calls == []
+    assert loopclosure_space(2, 4, segments=3).dim == 1
+    assert calls and set(calls) == {3}
+    calls.clear()
+    assert loopclosure_membership(volume_element(2))
+    assert loopclosure_combinations([volume_element(2)], 2).dim == 1
+    assert calls == [2, 2]
+
+
+def test_inv_d_planar_degree_eight_survives_concrete_closures():
+    # implementation-independent oracle at the reach the word identity opened:
+    # each of the 10 simultaneous invariants of degree 8 pairs with an open
+    # 8-segment path as with that path closed into a loop on either side
+    basis = inv_d_space(2, 8)
+    assert basis.dim == 10
+    rng = random.Random(59)
+    for _ in range(3):
+        pts = _integer_points(rng, 2, 9)
+        open_path, right, left = (PLPath(p) for p in (pts, pts + pts[:1], pts[-1:] + pts))
+        for element in basis.elements:
+            assert path_pair(right, element) == path_pair(open_path, element) == path_pair(left, element)
 
 
 # -- simultaneous invariants -----------------------------------------------------------
