@@ -133,8 +133,8 @@ class GradedBasis:
 # Every condition takes a word combination and `sliced`: with it, the rows are
 # highest-weight vectors (every E_i kills them, see `_cut`), and the conditions
 # may use that: the polynomial ones are restricted to the slice a[s][i] = 0 for
-# s < i, and loop closure on at least as many segments as the degree becomes a
-# word identity read at the standard words.
+# s < i, and loop closure on at least as many segments as the degree reads its
+# word identity at the standard words only.
 
 
 def _group_conditions(d: int, n: int, generators) -> Callable[..., list[dict]]:
@@ -158,29 +158,37 @@ def _kernel_conditions(d: int, n: int) -> Callable[..., list[dict]]:
     return lambda row, sliced=False: [calc(sliced).combination(row)]
 
 
-def _rearrangements(letters: Word, orders: dict[Word, list[Word]]) -> list[Word]:
-    """The distinct orderings of a sorted tuple of letters, memoized in `orders`."""
-    if letters not in orders:
-        orders[letters] = [
-            (a,) + rest
-            for i, a in enumerate(letters) if not i or letters[i - 1] != a
-            for rest in _rearrangements(letters[:i] + letters[i + 1:], orders)
-        ] if letters else [()]
-    return orders[letters]
+def _words_of_content(content: tuple[int, ...]) -> list[Word]:
+    """Every word with content[a - 1] letters a, in lexicographic order."""
+    if not any(content):
+        return [()]
+    return [
+        (a + 1,) + rest
+        for a, c in enumerate(content) if c
+        for rest in _words_of_content(content[:a] + (c - 1,) + content[a + 1:])
+    ]
 
 
-def _closure_adjoint(word: Word, left: bool, orders: dict[Word, list[Word]]) -> dict[Word, int]:
-    """The row A(w') of k! Phi at w' = word: w -> k! times the coefficient of w' in Phi(w), k = |w'|.
+def _closure_functional(word: Word) -> list[tuple[Word, int]]:
+    """The terms (r, weight) with k! <Phi(x) - x, w'> = sum of weight * M(r), at w' = word.
 
-    Phi is loop closure on words, right or `left`: <S(closed X), x> =
+    Phi is loop closure on words, right or left: <S(closed X), x> =
     <S(X), Phi(x)> for every path X.  Chen's identity appends exp(-T), T the
     increment of X, and Ree's shuffle theorem turns each product of the
     coordinates of T with a pairing into a shuffle, so
-    Phi_R(w) = sum over w = uv of (-1)^|v| / |v|! u sh v_1 sh ... sh v_|v|.
-    Read off at w', each set P of positions of w' gives (-1)^|P| k! over the
-    multinomial of the letter content of w'|_P, at every word (w' without P) r
-    for r a distinct rearrangement of w'|_P; the left side puts r in front.
-    `orders` memoizes `_rearrangements` and may serve many calls.
+    Phi_R(w) = sum over w = uv of (-1)^|v| / |v|! u sh v_1 sh ... sh v_|v|,
+    and Phi_L puts the shuffled letters of u in front of v.  The coefficient
+    of w' (length k) in u sh (v_1 sh ... sh v_j) counts the position sets P
+    of w' with w'|_{P^c} = u and content(w'|_P) = content(v), times
+    prod_a m_a!, m_a the letters a of v.  So for x of the letter content of
+    w', whose words uv all leave the content of v to that of u, k! <Phi_R(x), w'>
+    reads x only through M_R(u) = sum over v of x_{uv}, and k! <Phi_L(x), w'>
+    through M_L(u) = sum over v of x_{vu}, with the same weights: for each
+    distinct subsequence r of w', count(r) (-1)^(k-|r|) k!/(k-|r|)! prod_a m_a!,
+    where count(r) is the number of position sets P leaving r and m_a counts
+    the letters a that w' has beyond r.  P empty leaves r = w' with weight k!
+    and M(w') = x_{w'}, which the identity cancels; the list holds the proper
+    subsequences.  Every weight is an integer.
     """
     k = len(word)
     # each subsequence of w' (the positions kept) -> the number of position sets P leaving it
@@ -190,18 +198,15 @@ def _closure_adjoint(word: Word, left: bool, orders: dict[Word, list[Word]]) -> 
         for rest, count in kept.items():
             grown[rest + (a,)] = grown.get(rest + (a,), 0) + count
         kept = grown
-    row: dict[Word, int] = {}
+    del kept[word]
+    sizes = [(a, word.count(a)) for a in set(word)]
+    terms = []
     for rest, count in kept.items():
-        taken = sorted(word)
-        for a in rest:
-            taken.remove(a)
-        orderings = _rearrangements(tuple(taken), orders)
-        # their number is the multinomial, which divides |P|!, which divides k!
-        scale = (-1) ** len(taken) * count * (math.factorial(k) // len(orderings))
-        for r in orderings:
-            w = r + rest if left else rest + r
-            row[w] = row.get(w, 0) + scale
-    return {w: v for w, v in row.items() if v}
+        weight = (-1) ** (k - len(rest)) * count * math.perm(k, len(rest))
+        for a, size in sizes:
+            weight *= math.factorial(size - rest.count(a))
+        terms.append((rest, weight))
+    return terms
 
 
 def _standard_words(shape: tuple[int, ...]) -> list[Word]:
@@ -217,37 +222,54 @@ def _standard_words(shape: tuple[int, ...]) -> list[Word]:
 
 
 def _closure_conditions(d: int, m: int) -> Callable[..., list[dict]]:
-    """Per side, right then left: closure minus identity of a word combination on m segments.
+    """Closure minus identity of a word combination on m segments, right then left, twice.
 
-    In general these are the closed minus the open packed polynomials
-    (`SigPolyCalculator.closure_differences`).  A `sliced` row x of degree
-    k <= m is a highest-weight vector, and there the condition is the word
-    identity Phi(x) = x, read at the standard words w' of its letter content
-    lambda (see `_cut`): one dict per side from each w' to
-    k! <Phi(x) - x, w'> = sum of x_w A(w')[w] - k! x_w', all integers.  The
-    A(w') rows, the rearrangements they read and the standard words are
-    cached on this condition, so they go when the solve that holds it ends.
+    Each letter-content block of the row x, of degree k, gives per side
+    k! <Phi(x) - x, w'> (`_closure_functional`) at target words w', from its
+    prefix sums M_R and suffix sums M_L.  The targets of a `sliced` row with
+    k <= m (a highest-weight vector, see `_cut`) are the standard words of its
+    content; those of any other block are every word of its content.  On
+    m >= k segments these word dicts are the condition, since distinct
+    degree-k words have independent polynomials there.  On m < k they are
+    not, and the condition is the packed polynomial of the word dict of the
+    degrees above m, one per side: the closed polynomial of x is the open
+    polynomial of Phi(x).  The word dicts of the degrees up to m come first
+    and the polynomials second, so word keys never meet monomial keys in one
+    condition, not even for a row of mixed degrees.  The functionals, the
+    words of each content and the standard words are cached on this
+    condition, so they go when the solve that holds it ends.
     """
     calc = cache(partial(SigPolyCalculator, d, m + 1))
-    orders: dict[Word, list[Word]] = {}
-    adjoint = cache(lambda w, left: _closure_adjoint(w, left, orders))
+    functional = cache(_closure_functional)
+    content_words = cache(_words_of_content)
     standard = cache(_standard_words)
 
     def conditions(row: dict[Word, int], sliced: bool = False) -> list[dict]:
-        word = next(iter(row), ())
-        k = len(word)
-        if not sliced or m < k:
-            return calc(sliced).closure_differences(row)
-        check_degree(k)  # either path refuses the same degrees
-        shape = tuple(c for c in (word.count(a) for a in range(1, d + 1)) if c)
-        scale = math.factorial(k)
-        return [
-            {
-                w: v for w in standard(shape)
-                if (v := sum(c * adjoint(w, left).get(u, 0) for u, c in row.items()) - scale * row.get(w, 0))
-            }
-            for left in (False, True)
-        ]
+        blocks: dict[tuple[int, ...], dict[Word, int]] = {}
+        for w, c in row.items():
+            if c:
+                blocks.setdefault(tuple(w.count(a) for a in range(1, d + 1)), {})[w] = c
+        parts: list[dict] = [{}, {}, {}, {}]
+        for content, block in blocks.items():
+            k = sum(content)
+            check_degree(k)  # the polynomial path refuses the same degrees
+            prefixes: dict[Word, int] = {}
+            suffixes: dict[Word, int] = {}
+            for w, c in block.items():
+                for j in range(k):
+                    prefixes[w[:j]] = prefixes.get(w[:j], 0) + c
+                    suffixes[w[k - j:]] = suffixes.get(w[k - j:], 0) + c
+            # a sliced row has one dominant content: its letters 1..len(shape)
+            targets = standard(tuple(c for c in content if c)) if sliced and k <= m else content_words(content)
+            sides = parts[2:] if k > m else parts[:2]
+            for target in targets:
+                terms = functional(target)
+                for side, sums in zip(sides, (prefixes, suffixes)):
+                    if v := sum(weight * sums.get(r, 0) for r, weight in terms):
+                        side[target] = v
+        if any(sum(content) > m for content in blocks):
+            parts[2:] = [calc(sliced).combination(side) for side in parts[2:]]
+        return parts
 
     return conditions
 
@@ -380,25 +402,26 @@ def _cut(d: int, k: int, conditions) -> tuple[SubspaceQ, dict[tuple[int, ...], l
     has the kernel condition a[1][2] on 2 points, and that is 0 on the
     slice.  The time reversal condition is on words and takes no slice.
 
-    Loop closure on m >= k segments takes no polynomial in these solves.
-    Closing a path X appends the segment -T, T the increment of X, so
-    Chen's identity and Ree's shuffle theorem give a linear map Phi on the
-    degree-k words, one per side, with <S(closed X), x> = <S(X), Phi(x)> for
-    every X (`_closure_adjoint`).  On m >= k segments the polynomials of
-    distinct degree-k words are independent: a[1][w_1]...a[k][w_k] occurs
-    only in that of w, so the (m+1)-point kernel is 0.  So x survives
-    closure exactly when Phi(x) = x.  Phi commutes with GL_d, as
-    deconcatenation and shuffles do, so for a highest-weight x of weight
-    lambda, Phi(x) - x lies in HW_lambda of the whole degree-k space: the
-    span of the standard polytabloids e_T.  A tabloid of shape lambda is a
-    word of content lambda (letter r + 1 at the entries of row r), and {T}
-    is the dominance-largest tabloid of e_T, with coefficient 1 (Sagan,
-    2.5).  So the coefficients of the e_T at the standard words {T'} form a
-    unitriangular matrix in an order that extends dominance, and a vector of
-    that span is zero exactly when its coefficients at the f^lambda standard
-    words are.  The closure condition of these solves is those coefficients
-    of Phi(x) - x.  On m < k segments the kernel is not 0 and the condition
-    keeps its polynomials, as do the membership steps above.
+    Loop closure is one linear map Phi on the degree-k words, one per side,
+    with <S(closed X), x> = <S(X), Phi(x)> for every path X: closing X
+    appends the segment -T, T the increment of X, and Chen's identity and
+    Ree's shuffle theorem turn that into a word map (`_closure_functional`).
+    On m >= k segments the polynomials of distinct degree-k words are
+    independent: a[1][w_1]...a[k][w_k] occurs only in that of w, so the
+    (m+1)-point kernel is 0, and x survives closure exactly when
+    Phi(x) = x.  Phi commutes with GL_d, as deconcatenation and shuffles do,
+    so for a highest-weight x of weight lambda, Phi(x) - x lies in HW_lambda
+    of the whole degree-k space: the span of the standard polytabloids e_T.
+    A tabloid of shape lambda is a word of content lambda (letter r + 1 at
+    the entries of row r), and {T} is the dominance-largest tabloid of e_T,
+    with coefficient 1 (Sagan, 2.5).  So the coefficients of the e_T at the
+    standard words {T'} form a unitriangular matrix in an order that extends
+    dominance, and a vector of that span is zero exactly when its
+    coefficients at the f^lambda standard words are.  The closure condition
+    of these solves is those coefficients of Phi(x) - x.  On m < k segments
+    the kernel is not 0, and the condition is the polynomial of Phi(x) - x
+    read at every word of the content.  The membership steps above see
+    arbitrary rows, so they read Phi(x) - x at every word as well.
 
     Each dominant block is then rebuilt, highest first in reverse-lex order,
     as W_mu = HW_mu(W) + sum_i F_i W_{mu + alpha_i}, where mu + alpha_i has
@@ -523,10 +546,10 @@ def loopclosure_membership(
 ) -> bool:
     """Whether closing an m-segment path to a loop (either side) is invisible.
 
-    Checked as two exact polynomial identities per homogeneous part, with
-    m = deg(part) segments before closure (overridable).  Pass one
-    `conditions` dict to many calls to share one closure condition per
-    (d, m), with its calculator memo.
+    Checked per homogeneous part as the word identity Phi(x) = x on each side,
+    or its polynomial when the part's degree exceeds m, with m = deg(part)
+    segments before closure (overridable).  Pass one `conditions` dict to
+    many calls to share one closure condition per (d, m), with its caches.
     """
     conditions = {} if conditions is None else conditions
 

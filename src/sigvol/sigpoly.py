@@ -25,12 +25,11 @@ term, memoized on (segment, word).
 Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
 polynomial after permuting control points or merging a collinear point.
-Closing the path into a loop needs none: Chen's identity gives the closed
-polynomial from the open path's own segments (`closure_differences`).  The
-loop-closure conditions call it for memberships, for combinations of given
-elements and on fewer segments than the degree; highest-weight rows on at
-least as many segments need no polynomial, since there closure is an
-identity on words (`invariants._closure_conditions`).
+Closing the path into a loop needs none: by Chen's identity and Ree's
+shuffle theorem it is one linear map Phi on words, with the closed
+polynomial of x the open polynomial of Phi(x), so the loop-closure
+conditions (`invariants._closure_conditions`) are word identities and call
+`combination` only on fewer segments than the degree.
 
 The computational kernel works on integers.  Scaled by L!, the polynomial of
 a length-L word has integer (multinomial) coefficients, and the Chen step
@@ -381,8 +380,7 @@ class SigPolyCalculator:
     A `sliced` calculator gives the polynomials on the slice a[s][i] = 0
     for s < i: the monomials free of those variables.  There segment s
     takes no letter above s, so every prefix that segment s consumes ends
-    before the first such letter, and the closing totals of
-    `closure_differences` drop the sliced variables.
+    before the first such letter.
     """
 
     def __init__(self, d: int, n: int, sliced: bool = False):
@@ -465,42 +463,6 @@ class SigPolyCalculator:
                 out.update({m + seg: binom * v for m, v in tail.items()})
         if len(y) == 1:
             self._memo[s, word] = out
-        return out
-
-    def closure_differences(self, coeffs: Mapping[Word, int]) -> list[dict[int, int]]:
-        """Closed minus open, right and left, of an integer word combination, like `combination`.
-
-        The n-1 segments close into a loop with the increment -T, T their sum,
-        appended (right) or prepended (left).  By Chen's identity a word w = uv
-        closes to the sum over its splittings at j of C(|w|, j) times the open
-        polynomial of one part times (-1)^|c| prod_{i in c} T[i] for the closing
-        part c: v on the right, u on the left.  An empty c gives the open
-        polynomial, which cancels.  Each side takes one combination and one
-        product per letter multiset of c.  On the slice T[i] drops the a[s][i]
-        with s < i.
-        """
-        totals = [{}] + [
-            {self._letters[s][i]: 1 for s in range(1, self.n) if i <= self._top[s]} for i in range(1, self.d + 1)
-        ]
-        products: dict[Word, dict[int, int]] = {(): {0: 1}}
-
-        def total_product(letters: Word) -> dict[int, int]:
-            if letters not in products:
-                products[letters] = add_product({}, total_product(letters[:-1]), totals[letters[-1]])
-            return products[letters]
-
-        # (side, sorted closing letters) -> open parts; side 0 closes on the right, 1 on the left
-        groups: dict[tuple[int, Word], dict[Word, int]] = {}
-        for w, c in coeffs.items():
-            length = len(w)
-            check_degree(length)
-            for j in range(length):
-                scaled = (-1) ** (length - j) * math.comb(length, j) * c
-                add_scaled(groups.setdefault((0, tuple(sorted(w[j:]))), {}), scaled, {w[:j]: 1})
-                add_scaled(groups.setdefault((1, tuple(sorted(w[:length - j]))), {}), scaled, {w[length - j:]: 1})
-        out: list[dict[int, int]] = [{}, {}]
-        for (side, letters), opens in groups.items():
-            add_product(out[side], self.combination(opens), total_product(letters))
         return out
 
     def _to_polynomial(self, terms: Mapping[int, int], den: int) -> IncrementPolynomial:

@@ -8,10 +8,10 @@ only.
 import math
 from itertools import combinations
 
-from sigvol.exactq import QQ, SubspaceQ, det_q, nullspace
+from sigvol.exactq import QQ, SubspaceQ, add_product, add_scaled, det_q, nullspace
 from sigvol.freealg import antipode, permutation_sign
 from sigvol.posgeom import CyclicInstance
-from sigvol.sigpoly import FIELD_BITS, permutation_substitution
+from sigvol.sigpoly import FIELD_BITS, SigPolyCalculator, check_degree, permutation_substitution
 
 
 # -- exact linear algebra --------------------------------------------------------
@@ -180,3 +180,45 @@ def facet_check_det(instance, index_set):
         elif sign != s:
             return False
     return True
+
+
+# -- loop closure ------------------------------------------------------------------------
+
+
+def closure_differences(d, n, coeffs, sliced=False):
+    """Closed minus open, right and left, of an integer word combination, like `SigPolyCalculator.combination`.
+
+    The n-1 segments close into a loop with the increment -T, T their sum,
+    appended (right) or prepended (left).  By Chen's identity a word w = uv
+    closes to the sum over its splittings at j of C(|w|, j) times the open
+    polynomial of one part times (-1)^|c| prod_{i in c} T[i] for the closing
+    part c: v on the right, u on the left.  An empty c gives the open
+    polynomial, which cancels.  Each side takes one combination and one
+    product per letter multiset of c.  On the slice T[i] drops the a[s][i]
+    with s < i.
+    """
+    calc = SigPolyCalculator(d, n, sliced)
+    totals = [{}] + [
+        {1 << (FIELD_BITS * ((s - 1) * d + i - 1)): 1 for s in range(1, n) if i <= s or not sliced}
+        for i in range(1, d + 1)
+    ]
+    products = {(): {0: 1}}
+
+    def total_product(letters):
+        if letters not in products:
+            products[letters] = add_product({}, total_product(letters[:-1]), totals[letters[-1]])
+        return products[letters]
+
+    # (side, sorted closing letters) -> open parts; side 0 closes on the right, 1 on the left
+    groups = {}
+    for w, c in coeffs.items():
+        length = len(w)
+        check_degree(length)
+        for j in range(length):
+            scaled = (-1) ** (length - j) * math.comb(length, j) * c
+            add_scaled(groups.setdefault((0, tuple(sorted(w[j:]))), {}), scaled, {w[:j]: 1})
+            add_scaled(groups.setdefault((1, tuple(sorted(w[:length - j]))), {}), scaled, {w[length - j:]: 1})
+    out = [{}, {}]
+    for (side, letters), opens in groups.items():
+        add_product(out[side], calc.combination(opens), total_product(letters))
+    return out

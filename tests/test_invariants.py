@@ -1,6 +1,6 @@
 import math
 import random
-from functools import cache, partial
+from functools import partial
 
 import pytest
 
@@ -33,7 +33,7 @@ from sigvol.sigpoly import (
     PLPath, SigPolyCalculator, _pack, integral_coefficients, pair, path_pair, pl_signature, signature_polynomial,
 )
 
-from oracles import contains_subspace, timerev_project
+from oracles import closure_differences, contains_subspace, timerev_project
 
 
 # -- invariant spaces -----------------------------------------------------------
@@ -322,25 +322,31 @@ def _integer_points(rng, d, count):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_closure_adjoint_matches_the_numeric_chen_kernel(d):
-    # A(w')[w] = k! <Phi(w), w'>, and <S(closed X), w> = <S(X), Phi(w)>, so
+def test_closure_functional_matches_the_numeric_chen_kernel(d):
+    # A(w')[w] = k! <Phi(w), w'> is k! [w = w'] plus the weights of the terms r
+    # that w starts with (right side) or ends with (left side), over the words
+    # w of the content of w'; and <S(closed X), w> = <S(X), Phi(w)>, so
     # k! <S(closed X), w> = sum over w' of A(w')[w] <S(X), w'> on either side,
     # for paths of fewer and of at least k segments: the identity holds on
     # every path, and the segment count only decides whether it is all there is
     rng = random.Random(53 + d)
-    orders = {}
     for k in range(6):
         words = words_of_degree(d, k)
         for m in sorted({max(k - 2, 1), k, k + 1}):
             pts = _integer_points(rng, d, m + 1)
             open_sig, right, left = (pl_signature(PLPath(p), k) for p in (pts, pts + pts[:1], pts[-1:] + pts))
-            for side, closed in ((False, right), (True, left)):
+            for left_side, closed in ((False, right), (True, left)):
                 pulled = {}
                 for target in words:
-                    for w, v in invariants._closure_adjoint(target, side, orders).items():
+                    row = {target: math.factorial(k)}
+                    for r, weight in invariants._closure_functional(target):
+                        for w in words:
+                            if sorted(w) == sorted(target) and (w[k - len(r):] if left_side else w[:len(r)]) == r:
+                                row[w] = row.get(w, 0) + weight
+                    for w, v in row.items():
                         pulled[w] = pulled.get(w, 0) + v * open_sig.coeff(target)
                 for w in words:
-                    assert pulled.get(w, 0) == math.factorial(k) * closed.coeff(w), (d, k, m, w, side)
+                    assert pulled.get(w, 0) == math.factorial(k) * closed.coeff(w), (d, k, m, w, left_side)
 
 
 def test_standard_words_detect_zero_in_the_highest_weight_space():
@@ -369,14 +375,15 @@ def test_kernel_vanishes_on_one_more_point_than_the_degree():
 
 def _polynomial_closure_conditions(d, m):
     # loop closure by closed minus open polynomials on every row, highest-weight
-    # or not: the reference the word identity must agree with
-    calc = cache(lambda sliced: SigPolyCalculator(d, m + 1, sliced))
-    return lambda row, sliced=False: calc(sliced).closure_differences(row)
+    # or not: the reference the word map must agree with
+    return lambda row, sliced=False: closure_differences(d, m + 1, row, sliced)
 
 
 CLOSURE_CHAINS = [
     *((f"loopclosure({d},{k},segments={m})", partial(loopclosure_space, d, k, segments=m))
       for d, ks in ((2, range(1, 8)), (3, range(1, 6)), (4, range(1, 6))) for k in ks for m in (k, k + 1)),
+    *((f"loopclosure({d},{k},segments={m})", partial(loopclosure_space, d, k, segments=m))
+      for d, k, m in ((2, 6, 3), (2, 6, 5), (3, 5, 2), (3, 5, 4), (4, 5, 3))),
     *((f"inv_d({d},{k})", partial(inv_d_space, d, k)) for d, k in ((2, 6), (2, 7), (2, 8), (4, 5), (6, 3))),
 ]
 
@@ -390,26 +397,76 @@ def test_word_closure_chain_matches_the_polynomial_chain(name, build, monkeypatc
     assert words.elements == polynomial.elements
 
 
-def test_highest_weight_closure_builds_no_polynomial(monkeypatch):
-    # the chain's rows on at least k segments take the word identity; rows on
-    # fewer segments, memberships and combinations keep the polynomials
+def _random_closure_element(rng, d, members):
+    # an integer combination of mixed contents and degrees, the empty word
+    # included; with `members` (loop-closure invariants) it may be one too.
+    # A word minus its reverse cancels in the sums over the whole content.
+    terms = {(): rng.randint(-2, 2)}
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(rng.randint(1, d) for _ in range(rng.randint(1, 5)))
+        terms[w] = rng.randint(-3, 3)
+    if rng.random() < 0.5:
+        terms = {}
+    x = TensorElement(d, terms)
+    for member in rng.sample(members, min(len(members), rng.randint(0, 3))):
+        x = x + member.scale(qq(rng.randint(-3, 3)))
+    w = tuple(rng.randint(1, d) for _ in range(rng.randint(1, 5)))
+    c = qq(rng.randint(1, 3))
+    return x + TensorElement.from_word(d, w, c) - TensorElement.from_word(d, w[::-1], c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_closure_on_every_word_matches_the_polynomial_closure(d, monkeypatch):
+    # memberships and combinations see arbitrary elements, so every block of
+    # theirs takes every word of its content as a target: compare them, below,
+    # at and above the degrees, with closed minus open polynomials.  The
+    # members mixed in come from the reference, some of them invariant on one
+    # segment only, where Phi(x) = x is not needed.
+    rng = random.Random(61 + d)
+    with monkeypatch.context() as reference:
+        reference.setattr(invariants, "_closure_conditions", _polynomial_closure_conditions)
+        members = [x for k, m in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (4, 4))
+                   for x in loopclosure_space(d, k, segments=m).elements]
+    elements = [_random_closure_element(rng, d, members) for _ in range(12)]
+    combinations = [rng.sample(elements, 4) for _ in range(3)]
+    combinations = [group + [group[0] + group[1]] for group in combinations]
+    cases = [(x, m) for x in elements for m in (None, 1, 2, 4, 6)]
+    words = [loopclosure_membership(x, m) for x, m in cases]
+    spans = [loopclosure_combinations(group, m) for group in combinations for m in (1, 2, 4, 6)]
+    monkeypatch.setattr(invariants, "_closure_conditions", _polynomial_closure_conditions)
+    assert words == [loopclosure_membership(x, m) for x, m in cases]
+    assert spans == [loopclosure_combinations(group, m) for group in combinations for m in (1, 2, 4, 6)]
+    assert any(words) and not all(words)
+    assert all(span.dim for span in spans)
+
+
+def test_closure_builds_a_polynomial_only_below_the_degree(monkeypatch):
+    # on at least k segments the closure condition is the word dicts: the
+    # chain's rows, memberships and combinations build no polynomial; on
+    # fewer segments it takes one polynomial per side
     calls = []
-    closure_differences = SigPolyCalculator.closure_differences
+    combination = SigPolyCalculator.combination
 
     def counted(self, coeffs):
         calls.append(self.n - 1)
-        return closure_differences(self, coeffs)
+        return combination(self, coeffs)
 
-    monkeypatch.setattr(SigPolyCalculator, "closure_differences", counted)
+    monkeypatch.setattr(SigPolyCalculator, "combination", counted)
     assert loopclosure_space(2, 5).dim == 0 and loopclosure_space(3, 4, segments=6).dim == 6
-    assert inv_d_space(2, 6).dim == 4
+    assert loopclosure_membership(volume_element(2)) and loopclosure_membership(volume_element(2), segments=3)
+    assert loopclosure_combinations([volume_element(2), TensorElement.from_word(2, (1, 2))], 2).dim == 1
     assert calls == []
-    assert loopclosure_space(2, 4, segments=3).dim == 1
-    assert calls and set(calls) == {3}
+    assert inv_d_space(2, 6).dim == 4
+    assert calls and 6 not in calls  # the stabilizers take 2 and 3 segments, closure 6
     calls.clear()
-    assert loopclosure_membership(volume_element(2))
-    assert loopclosure_combinations([volume_element(2)], 2).dim == 1
-    assert calls == [2, 2]
+    assert loopclosure_space(2, 4, segments=3).dim == 1
+    assert calls and set(calls) == {3} and len(calls) % 2 == 0
+    calls.clear()
+    assert loopclosure_membership(volume_element(2), segments=1)
+    assert calls == [1, 1]
+    calls.clear()
+    assert loopclosure_combinations([volume_element(2), TensorElement.from_word(2, (1, 2))], 1).dim == 1
+    assert calls == [1, 1, 1, 1]
 
 
 def test_inv_d_planar_degree_eight_survives_concrete_closures():
