@@ -19,8 +19,10 @@ evaluates the signature on a generic n-point path.  The map from words to
 these polynomials is linear and turns the shuffle product into the ordinary
 polynomial product; its kernel at fixed n detects elements that vanish on
 every n-point path.  `SigPolyCalculator` computes it by one recursion on
-word combinations of one length; a single word is a combination of one
-term, memoized on (segment, word).
+word combinations of one letter content.  Each segment takes a prefix of
+every word, and the left quotients by those prefixes are built one letter
+at a time, so a quotient that cancels ends the walk of its words.  A single
+word is a combination of one term, memoized on (segment, word).
 
 Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
@@ -365,22 +367,26 @@ class SigPolyCalculator:
     `IncrementPolynomial`.
 
     `_poly` is the one Chen recursion.  It runs over the first segment on a
-    word combination y of one length L.  On segment s each word w = p v
-    splits by j = |p| and the letter content c of p; the left quotient
-    y_{j,c} = sum of y_{pv} v gives
+    word combination y whose words share one letter content, of length L.
+    On segment s each word w = p v splits by j = |p| and the letter content
+    c of p; the left quotient y_{j,c} = sum of y_{pv} v gives
     L! P_s(y) = sum over (j, c) of C(L, j) a_s^c (L-j)! P_{s+1}(y_{j,c}).
-    A quotient that cancels to zero is dropped before anything below it is
-    built.  The last segment consumes the whole rest of a word, so there a
-    quotient word is kept as the packed monomial of its content and no
-    quotient dict is built.  A combination c w of one word reads and fills
-    the memo on (segment, w), which keeps the polynomial of w itself and is
-    scaled by c on the way out.  `combination` runs the recursion once per
-    word length.
+    The quotients are built one letter at a time: those of prefix length
+    j+1 come from stripping the first letter of the words of the nonzero
+    quotients of length j.  A quotient that cancels to zero is dropped, so
+    the walk of its words ends there and nothing below it is built.  The
+    last segment consumes the whole rest of a word, and every word of a
+    quotient has the same rest content (y's less c), so there a quotient's
+    polynomial is its coefficient sum times one monomial.  A combination
+    c w of one word reads and fills the memo on (segment, w), which keeps
+    the polynomial of w itself and is scaled by c on the way out.
+    `combination` runs the recursion once per letter content.
 
     A `sliced` calculator gives the polynomials on the slice a[s][i] = 0
     for s < i: the monomials free of those variables.  There segment s
-    takes no letter above s, so every prefix that segment s consumes ends
-    before the first such letter.
+    takes no letter above s, so the walk of a word on segment s ends at
+    its first such letter, and the last segment takes no quotient whose
+    content has one.
     """
 
     def __init__(self, d: int, n: int, sliced: bool = False):
@@ -393,25 +399,36 @@ class SigPolyCalculator:
         self._letters = [()] + [
             (0,) + tuple(_unit((s - 1) * d + i) for i in range(d)) for s in range(1, n)
         ]
-        # _top[s]: the largest letter segment s takes (index 0 unused)
-        self._top = [min(s, d) if sliced else d for s in range(n)]
+        # the packed fields a monomial must miss: those of the sliced variables
+        self._off = slice_mask(d, n) if sliced else 0
 
     def combination(self, coeffs: Mapping[Word, int]) -> dict[int, int]:
         """Sum of c * |w|! * (polynomial of w) over integer coefficients c.
 
-        Words of one length L share the scale L!, so each length recurses on
-        its own; their polynomials have degree L, so the lengths never meet.
+        Words of one letter content recurse together.  The polynomial of a
+        word has degree (count of letter i) in the variables a[s][i], so
+        polynomials of different contents never share a monomial.
         """
+        parts: dict[Word, dict[Word, int]] = {}
+        for w, c in coeffs.items():
+            if c:
+                parts.setdefault(tuple(sorted(w)), {})[w] = c
         out: dict[int, int] = {}
-        for length, part in _by_length({w: c for w, c in coeffs.items() if c}).items():
-            check_degree(length)
-            out.update(self._poly(1, length, part))
+        for content, part in parts.items():
+            check_degree(len(content))
+            out.update(self._poly(1, len(content), part))
         return out
 
     def _poly(self, s: int, length: int, y: dict[Word, int]) -> dict[int, int]:
-        # L! times the polynomial of the nonzero length-L combination y on segments s..n-1
+        # L! times the polynomial of the nonzero combination y of one length-L
+        # letter content on segments s..n-1
         if s == self.n:
             return {0: y[EMPTY_WORD]} if not length else {}  # only the empty word is nonzero
+        if s == self.n - 1:
+            # one segment consumes every word whole: one monomial, of their content
+            total = sum(y.values())
+            content = sum(self._letters[s][a] for a in next(iter(y)))
+            return {content: total} if total and not content & self._off else {}
         if len(y) == 1:
             (word, scale), = y.items()
             if scale != 1:
@@ -419,48 +436,44 @@ class SigPolyCalculator:
             poly = self._memo.get((s, word))
             if poly is not None:
                 return poly  # read only: every caller copies what it keeps
-        # split each word w = p v at j = |p| by the content of p (a packed monomial
-        # of degree j); the left quotient at (j, content) is the sum of y_w v.  When
-        # segment s+1 is the last, it consumes v whole, so v is kept as its content.
-        letters, top = self._letters[s], self._top[s]
+        letters, off = self._letters[s], self._off
         last = s + 1 == self.n - 1
         if last:
-            after, after_top = self._letters[s + 1], self._top[s + 1]
-        quotients: list[dict[int, dict]] = [{} for _ in range(length + 1)]
-        d = self.d
-        for w, c in y.items():
-            # on the slice p ends before the first letter above top, and a last v
-            # starts after the last letter above after_top; no search where none is cut
-            stop = length if top >= d else next((j for j, a in enumerate(w) if a > top), length)
-            first = length if s == self.n - 1 else 0  # the last segment consumes the whole word
-            if last:
-                tails = [0] * (length + 1)
-                for j in range(length - 1, -1, -1):
-                    tails[j] = tails[j + 1] + after[w[j]]
-                if after_top < d:
-                    first = next((j + 1 for j in range(length - 1, -1, -1) if w[j] > after_top), 0)
-            seg = 0
-            for j in range(stop + 1):
-                if j:
-                    seg += letters[w[j - 1]]
-                if j < first:
-                    continue
-                quotient = quotients[j].setdefault(seg, {})
-                v = tails[j] if last else w[j:]
-                total = quotient.get(v, 0) + c
-                if total:
-                    quotient[v] = total
-                else:
-                    del quotient[v]
+            # the rest content of a quotient is y's content on segment s+1 less
+            # its prefix content, moved up from segment s by d fields
+            content = sum(self._letters[s + 1][a] for a in next(iter(y)))
+            shift = FIELD_BITS * self.d
         out: dict[int, int] = {}
-        for j, by_content in enumerate(quotients):
+        level: dict[int, dict[Word, int]] = {0: y}  # prefix content -> left quotient
+        for j in range(length + 1):
             binom = math.comb(length, j)
-            for seg, quotient in by_content.items():
-                if not quotient:
-                    continue  # cancelled inside segment s's prefix: nothing below is built
-                tail = quotient if last else self._poly(s + 1, length - j, quotient)
-                # terms of different (j, content) differ in their segment-s monomial, so none meet
-                out.update({m + seg: binom * v for m, v in tail.items()})
+            for seg, quotient in level.items():
+                # terms of different (j, seg) differ in their segment-s monomial, so none meet
+                if not last:
+                    out.update({m + seg: binom * v for m, v in self._poly(s + 1, length - j, quotient).items()})
+                    continue
+                rest, total = content - (seg << shift), sum(quotient.values())
+                if total and not rest & off:
+                    out[rest + seg] = binom * total
+            if j == length:
+                break
+            # strip one more letter; on the slice a prefix ends before a sliced variable
+            longer: dict[int, dict[Word, int]] = {}
+            for seg, quotient in level.items():
+                for w, c in quotient.items():
+                    a = letters[w[0]]
+                    if a & off:
+                        continue
+                    following = longer.setdefault(seg + a, {})
+                    v = w[1:]
+                    total = following.get(v, 0) + c
+                    if total:
+                        following[v] = total
+                    else:
+                        del following[v]
+            level = {seg: quotient for seg, quotient in longer.items() if quotient}
+            if not level:
+                break  # every prefix cancelled or left the slice
         if len(y) == 1:
             self._memo[s, word] = out
         return out

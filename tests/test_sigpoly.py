@@ -646,11 +646,11 @@ def test_packed_field_overflow_raises():
 # -- word combinations -------------------------------------------------------------
 
 
-def word_by_word(d, n, coeffs):
+def word_by_word(d, n, coeffs, sliced=False):
     """The sum of c * |w|! * (polynomial of w), one word polynomial of the oracle at a time."""
     out = {}
     for w, c in coeffs.items():
-        for m, v in word_polynomial(d, n, w).items():
+        for m, v in word_polynomial(d, n, w, sliced).items():
             out[m] = out.get(m, 0) + c * v
     return {m: v for m, v in out.items() if v}
 
@@ -707,6 +707,81 @@ def test_combination_outside_the_kernel_is_nonzero():
     (coeffs,), _ = integral_coefficients([volume_element(3).terms])
     got = SigPolyCalculator(3, 4).combination(coeffs)
     assert got and got == word_by_word(3, 4, coeffs)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (3, 4), (4, 3), (4, 6)])
+def test_combination_of_several_letter_contents_of_one_length(d, n):
+    # the contents recurse apart, and their polynomials share no monomial
+    rng = random.Random(500 + 10 * d + n)
+    full, sliced = SigPolyCalculator(d, n), SigPolyCalculator(d, n, sliced=True)
+    for _ in range(8):
+        length = rng.randint(2, 5)
+        contents = set()
+        while len(contents) < 3:
+            contents.add(tuple(sorted(rng.randint(1, d) for _ in range(length))))
+        coeffs = {}
+        for content in contents:
+            # rearrangements of one content, some cancelling each other
+            for _ in range(rng.randint(1, 4)):
+                w = tuple(rng.sample(content, length))
+                coeffs[w] = coeffs.get(w, 0) + rng.randint(-3, 3)
+        assert full.combination(coeffs) == word_by_word(d, n, coeffs)
+        assert sliced.combination(coeffs) == word_by_word(d, n, coeffs, sliced=True)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_antisymmetrised_products_match_the_word_by_word_sum(d, n):
+    # the words of vol_d (x) w and w (x) vol_d cancel inside the prefixes the segments take
+    rng = random.Random(600 + 10 * d + n)
+    vol = volume_element(d)
+    full, sliced = SigPolyCalculator(d, n), SigPolyCalculator(d, n, sliced=True)
+    products = [concat(vol, vol)] if 2 * d <= 7 else []
+    for length in range(8 - d):
+        w = TensorElement.from_word(d, [rng.randint(1, d) for _ in range(length)])
+        products += [concat(vol, w), concat(w, vol)]
+    for x in products:
+        (coeffs,), _ = integral_coefficients([x.terms])
+        assert full.combination(coeffs) == word_by_word(d, n, coeffs)
+        assert sliced.combination(coeffs) == word_by_word(d, n, coeffs, sliced=True)
+
+
+def assert_memo_holds_word_polynomials(calc, sliced):
+    # the memo on (s, w) holds the polynomial of w on segments s..n-1: its
+    # (n-s+1)-point polynomial moved up by s-1 segments
+    d, n = calc.d, calc.n
+    assert calc._memo
+    for (s, w), poly in calc._memo.items():
+        moved = {m << (FIELD_BITS * d * (s - 1)): v for m, v in word_polynomial(d, n - s + 1, w).items()}
+        assert poly == ({m: v for m, v in moved.items() if not m & slice_mask(d, n)} if sliced else moved)
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_memo_is_the_same_whether_a_word_comes_alone_or_in_a_combination(sliced):
+    d, n = 3, 5
+    (coeffs,), _ = integral_coefficients([concat(volume_element(3), TensorElement.from_word(3, (1, 2, 1))).terms])
+    words = sorted(coeffs)[:6]
+    expected = word_by_word(d, n, coeffs, sliced)
+
+    def alone(calc):
+        for w in words:
+            poly = word_polynomial(d, n, w, sliced)
+            assert calc.combination({w: 1}) == poly
+            assert calc.combination({w: -3}) == {m: -3 * v for m, v in poly.items()}
+
+    # the combination first, then its words alone, scaled or not
+    calc = SigPolyCalculator(d, n, sliced)
+    assert calc.combination(coeffs) == expected
+    alone(calc)
+    assert_memo_holds_word_polynomials(calc, sliced)
+    # the words first: the combination and the scaled reads leave the cached dicts as they were
+    calc = SigPolyCalculator(d, n, sliced)
+    alone(calc)
+    cached = {key: (poly, dict(poly)) for key, poly in calc._memo.items()}
+    assert calc.combination(coeffs) == expected
+    alone(calc)
+    assert all(calc._memo[key] is poly and poly == copy for key, (poly, copy) in cached.items())
+    assert_memo_holds_word_polynomials(calc, sliced)
 
 
 # -- the slice a[s][i] = 0 for s < i ---------------------------------------------------
