@@ -480,13 +480,11 @@ def _cut(d: int, k: int, conditions) -> tuple[SubspaceQ, dict[tuple[int, ...], l
         for i in range(1, d):
             if mu[i]:
                 above = mu[: i - 1] + (mu[i - 1] + 1, mu[i] - 1) + mu[i + 1:]
-                lowered = {c: [c + place[p] for p, a in enumerate(words[c]) if a == i] for c in blocks[above]}
+                # distinct positions give distinct targets, each with coefficient 1
+                lowered = {c: dict.fromkeys((c + place[p] for p, a in enumerate(words[c]) if a == i), 1)
+                           for c in blocks[above]}
                 for row in integral_coefficients(block(above))[0]:
-                    out: dict[int, int] = {}
-                    for c, v in row.items():
-                        for target in lowered[c]:
-                            out[target] = out.get(target, 0) + v
-                    rows.append({c: v for c, v in out.items() if v})
+                    rows.append(combine((v, lowered[c]) for c, v in row.items()))
         # latest lead first: a row whose lead no pivot holds yet becomes one with no elimination
         spaces[mu] = rref_rows(sorted(filter(None, rows), key=min, reverse=True))
     vectors = [row for content in blocks for row in block(content)]
@@ -590,7 +588,9 @@ def inv_d_space(d: int, k: int) -> GradedBasis:
     of k+2) when d is even.  The stabilizers of n = d+1 and n = d+2 points
     remain.  The chain imposes all of these cheapest first, by point count
     (time reversal: 0), so the costly solves run over what the cheap ones leave,
-    and builds each only when it gets there: one calculator memo at a time.
+    and builds each only when it gets there, so one condition's caches are
+    alive at a time: a stabilizer's substitution caches or loop closure's
+    word caches.
     """
     builders = []
     if d % 4 in (0, 3):
@@ -614,7 +614,7 @@ def is_invariant(x: TensorElement, d: int, n: int, conditions: dict | None = Non
     """Whether the signature polynomial of x on n points is stabilizer-fixed.
 
     Pass one `conditions` dict to many calls to share one condition builder
-    per (d, n), with its calculator memo and substitution caches.
+    per (d, n), with its substitution caches.
     """
     if x.d != d:
         raise ValueError("alphabet mismatch")
@@ -629,7 +629,7 @@ def is_in_kernel(x: TensorElement, n: int, conditions: dict | None = None) -> bo
     """Whether the signature polynomial of x on n points vanishes identically.
 
     Pass one `conditions` dict to many calls to share one kernel condition
-    per (d, n), with its calculator memo.
+    per (d, n).
     """
     conditions = {} if conditions is None else conditions
     key = ("kernel", x.d, n)

@@ -22,7 +22,7 @@ every n-point path.  `SigPolyCalculator` computes it by one recursion on
 word combinations of one letter content.  Each segment takes a prefix of
 every word, and the left quotients by those prefixes are built one letter
 at a time, so a quotient that cancels ends the walk of its words.  A single
-word is a combination of one term, memoized on (segment, word).
+word is a combination of one term on the same walk; nothing is memoized.
 
 Polynomials live over increments rather than raw coordinates, which makes
 translation invariance structural.  Substitution helpers re-express a
@@ -377,10 +377,11 @@ class SigPolyCalculator:
     the walk of its words ends there and nothing below it is built.  The
     last segment consumes the whole rest of a word, and every word of a
     quotient has the same rest content (y's less c), so there a quotient's
-    polynomial is its coefficient sum times one monomial.  A combination
-    c w of one word reads and fills the memo on (segment, w), which keeps
-    the polynomial of w itself and is scaled by c on the way out.
-    `combination` runs the recursion once per letter content.
+    polynomial is its coefficient sum times one monomial.  A single word
+    is a combination of one term.  The calculator keeps no per-word state:
+    `_poly` depends only on (segment, length, combination), and each result
+    is a new dict that the caller owns.  `combination` runs the recursion
+    once per letter content.
 
     A `sliced` calculator gives the polynomials on the slice a[s][i] = 0
     for s < i: the monomials free of those variables.  There segment s
@@ -394,7 +395,6 @@ class SigPolyCalculator:
             raise ValueError("need d >= 1 and n >= 1")
         self.d = d
         self.n = n
-        self._memo: dict[tuple[int, Word], dict[int, int]] = {}
         # _letters[s][i]: the packed variable a[s][i] (index 0 unused)
         self._letters = [()] + [
             (0,) + tuple(_unit((s - 1) * d + i) for i in range(d)) for s in range(1, n)
@@ -429,13 +429,6 @@ class SigPolyCalculator:
             total = sum(y.values())
             content = sum(self._letters[s][a] for a in next(iter(y)))
             return {content: total} if total and not content & self._off else {}
-        if len(y) == 1:
-            (word, scale), = y.items()
-            if scale != 1:
-                return {m: scale * v for m, v in self._poly(s, length, {word: 1}).items()}
-            poly = self._memo.get((s, word))
-            if poly is not None:
-                return poly  # read only: every caller copies what it keeps
         letters, off = self._letters[s], self._off
         last = s + 1 == self.n - 1
         if last:
@@ -474,8 +467,6 @@ class SigPolyCalculator:
             level = {seg: quotient for seg, quotient in longer.items() if quotient}
             if not level:
                 break  # every prefix cancelled or left the slice
-        if len(y) == 1:
-            self._memo[s, word] = out
         return out
 
     def _to_polynomial(self, terms: Mapping[int, int], den: int) -> IncrementPolynomial:

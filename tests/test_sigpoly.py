@@ -746,19 +746,12 @@ def test_antisymmetrised_products_match_the_word_by_word_sum(d, n):
         assert sliced.combination(coeffs) == word_by_word(d, n, coeffs, sliced=True)
 
 
-def assert_memo_holds_word_polynomials(calc, sliced):
-    # the memo on (s, w) holds the polynomial of w on segments s..n-1: its
-    # (n-s+1)-point polynomial moved up by s-1 segments
-    d, n = calc.d, calc.n
-    assert calc._memo
-    for (s, w), poly in calc._memo.items():
-        moved = {m << (FIELD_BITS * d * (s - 1)): v for m, v in word_polynomial(d, n - s + 1, w).items()}
-        assert poly == ({m: v for m, v in moved.items() if not m & slice_mask(d, n)} if sliced else moved)
-
-
 @pytest.mark.parametrize("sliced", [False, True])
-def test_memo_is_the_same_whether_a_word_comes_alone_or_in_a_combination(sliced):
-    d, n = 3, 5
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_word_gives_the_same_polynomial_alone_or_in_a_combination(n, sliced):
+    # one calculator serves a combination and its words, scaled or not, in either order;
+    # n = 1 and 2 reach the no-segment and one-segment branches with a scaled single word
+    d = 3
     (coeffs,), _ = integral_coefficients([concat(volume_element(3), TensorElement.from_word(3, (1, 2, 1))).terms])
     words = sorted(coeffs)[:6]
     expected = word_by_word(d, n, coeffs, sliced)
@@ -769,19 +762,20 @@ def test_memo_is_the_same_whether_a_word_comes_alone_or_in_a_combination(sliced)
             assert calc.combination({w: 1}) == poly
             assert calc.combination({w: -3}) == {m: -3 * v for m, v in poly.items()}
 
-    # the combination first, then its words alone, scaled or not
+    # the combination first, then its words alone
     calc = SigPolyCalculator(d, n, sliced)
     assert calc.combination(coeffs) == expected
     alone(calc)
-    assert_memo_holds_word_polynomials(calc, sliced)
-    # the words first: the combination and the scaled reads leave the cached dicts as they were
+    # the words first, then the combination
     calc = SigPolyCalculator(d, n, sliced)
     alone(calc)
-    cached = {key: (poly, dict(poly)) for key, poly in calc._memo.items()}
+    assert calc.combination(coeffs) == expected
+    # every result belongs to its caller: changing one changes no later result
+    for got in [calc.combination(coeffs)] + [calc._poly(1, len(w), {w: 1}) for w in words]:
+        got.update({m: 7 * v for m, v in got.items()})
+        got[0] = 1
     assert calc.combination(coeffs) == expected
     alone(calc)
-    assert all(calc._memo[key] is poly and poly == copy for key, (poly, copy) in cached.items())
-    assert_memo_holds_word_polynomials(calc, sliced)
 
 
 # -- the slice a[s][i] = 0 for s < i ---------------------------------------------------
