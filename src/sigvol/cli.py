@@ -4,9 +4,16 @@ Every computation in the library is exposed as a subcommand with
 machine-readable JSON output (default) or human-readable text.  Output is
 byte-stable across runs; progress of long computations goes to stderr only.
 
-Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors.
-A usage error (bad arguments, unparseable or out-of-range input) prints one
-line on stderr.
+`run` alone applies the contract.  `_dispatch` computes a verb's JSON data
+and returns it with the verb's text renderer; `check-element` and
+`reproduce-paper`, the verbs that run a check, also return their exit code.
+`run` prints the data once, as JSON or through the renderer, and returns
+0 on success or 1 when a requested check fails.  Bad input is exit 2 with
+one line `sigvol: error: ...` on stderr and nothing on stdout: argparse
+reports a bad argument list itself, and `run` reports any `ValueError`
+(unparseable or out-of-range input, from the checks here or the library's
+own argument checks) and the `OverflowError` of a degree above the packed
+monomial field.
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ import functools
 import json
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import fixtures, verify
 from .exactq import qq
 from .freealg import (
+    TensorElement,
     antipode,
     check_text_alphabet,
     element_to_text,
@@ -45,7 +54,6 @@ from .invariants import (
 )
 from .posgeom import (
     GROUP_NAMES,
-    PermGroup,
     gale_facets,
     moment_curve_instance,
     named_group,
@@ -64,18 +72,6 @@ from .sigpoly import (
 )
 
 
-class UsageError(Exception):
-    """Bad command-line input; `run` reports it on one line and returns 2."""
-
-
-def _checked(fn, *args):
-    """fn(*args), with the ValueError it raises for bad input as a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 # lower bounds of the integer options, checked before any computation
 _MINIMUM = {"d": 1, "n": 1, "k": 0, "maxdeg": 0, "segments": 1}
 
@@ -84,12 +80,12 @@ def _check_ranges(args) -> None:
     for name, low in _MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise UsageError(f"--{name} must be at least {low}, got {value}")
+            raise ValueError(f"--{name} must be at least {low}, got {value}")
 
 
 def _parse_path(text: str) -> PLPath:
     chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
-    return _checked(lambda: PLPath([[qq(c) for c in chunk.split(",")] for chunk in chunks]))
+    return PLPath([[qq(c) for c in chunk.split(",")] for chunk in chunks])
 
 
 def _load_fixture(spec: str, d: int | None):
@@ -97,10 +93,10 @@ def _load_fixture(spec: str, d: int | None):
     try:
         text = Path(spec).read_text(encoding="utf-8") if os.path.exists(spec) else fixtures.fixture_text(spec)
     except FileNotFoundError:
-        raise UsageError(f"fixture not found: {spec}") from None
+        raise ValueError(f"fixture not found: {spec}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read fixture {spec}: {exc}") from None
-    return _checked(parse_fixture_elements, text, d)
+        raise ValueError(f"cannot read fixture {spec}: {exc}") from None
+    return parse_fixture_elements(text, d)
 
 
 def _signature_json(sig) -> dict:
@@ -110,28 +106,20 @@ def _signature_json(sig) -> dict:
     return {"d": sig.d, "maxdeg": sig.maxdeg, "coefficients": coeffs}
 
 
-def _group_for(name: str, d: int, n: int) -> PermGroup:
-    if name == "auto":
-        return _checked(stabilizer_structural, d, n)
-    return named_group(name, n)
+def _element_output(x):
+    return {"element": element_to_text(x)}, itemgetter("element")
 
 
-def _emit(data, fmt: str, text_render) -> None:
-    print(json.dumps(data) if fmt == "json" else text_render(data))
-
-
-def _space_output(basis, fmt: str, with_image: int | None = None) -> None:
-    image = dim_image(basis, with_image) if with_image is not None else None
-    data = _checked(basis.to_json, image)  # an empty basis prints no word, at any d
-    _emit(
-        data,
-        fmt,
-        lambda d: "\n".join(
-            [f"dim_raw = {d['dim_raw']}"]
-            + ([f"dim_image = {d['dim_image']}"] if "dim_image" in d else [])
-            + [f"  {b}" for b in d["basis"]]
-        ),
+def _space_text(data: dict) -> str:
+    return "\n".join(
+        [f"dim_raw = {data['dim_raw']}"]
+        + ([f"dim_image = {data['dim_image']}"] if "dim_image" in data else [])
+        + [f"  {b}" for b in data["basis"]]
     )
+
+
+def _space_output(basis, image: int | None = None):
+    return basis.to_json(image), _space_text  # an empty basis prints no word, at any d
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,136 +262,107 @@ def run(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_attach_option_values(argv))
     try:
         _check_ranges(args)
-        return _dispatch(args)
-    except (UsageError, OverflowError) as exc:  # OverflowError: a degree above the packed monomial field
+        data, render, *code = _dispatch(args)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a degree above the packed monomial field
         print(f"sigvol: error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(data) if args.format == "json" else render(data))
+    return code[0] if code else 0
 
 
-def _dispatch(args) -> int:
-    fmt = args.format
-
+def _dispatch(args) -> tuple:
+    """(JSON data, text renderer) of the command, and its exit code when it runs a check."""
     if args.command in ("shuffle", "concat"):
-        x = _checked(parse_element, args.x, args.d)
-        y = _checked(parse_element, args.y, args.d)
+        x, y = parse_element(args.x, args.d), parse_element(args.y, args.d)
         d = max(x.d, y.d)
-        x, y = _checked(parse_element, args.x, d), _checked(parse_element, args.y, d)
-        result = shuffle(x, y) if args.command == "shuffle" else concat(x, y)
-        _emit({"element": _checked(element_to_text, result)}, fmt, lambda data: data["element"])
-        return 0
+        x, y = TensorElement(d, x.terms), TensorElement(d, y.terms)
+        return _element_output(shuffle(x, y) if args.command == "shuffle" else concat(x, y))
 
     if args.command == "antipode":
-        x = _checked(parse_element, args.x, args.d)
-        _emit({"element": _checked(element_to_text, antipode(x))}, fmt, lambda data: data["element"])
-        return 0
+        return _element_output(antipode(parse_element(args.x, args.d)))
 
     if args.command == "vol":
-        _checked(check_text_alphabet, args.d)  # before the d! words are built
-        letters = _checked(lambda: tuple(int(ch) for ch in args.letters)) if args.letters else None
-        x = _checked(volume_element, args.d, letters)
-        _emit({"element": element_to_text(x)}, fmt, lambda data: data["element"])
-        return 0
+        check_text_alphabet(args.d)  # before the d! words are built
+        letters = tuple(int(ch) for ch in args.letters) if args.letters else None
+        return _element_output(volume_element(args.d, letters))
 
     if args.command == "lyndon":
-        _checked(check_text_alphabet, args.d)
-        words = ["".join(map(str, w)) for w in _checked(lyndon_words, args.d, args.k)]
-        _emit({"d": args.d, "k": args.k, "count": len(words), "words": words}, fmt,
-              lambda data: " ".join(data["words"]))
-        return 0
+        check_text_alphabet(args.d)
+        words = ["".join(map(str, w)) for w in lyndon_words(args.d, args.k)]
+        return ({"d": args.d, "k": args.k, "count": len(words), "words": words},
+                lambda data: " ".join(data["words"]))
 
     if args.command == "signature":
         path = _parse_path(args.path)
-        _checked(check_text_alphabet, path.d)
-        sig = pl_signature(path, args.maxdeg)
-        data = _signature_json(sig)
-        _emit(data, fmt, lambda d: "\n".join(f"{w}: {c}" for w, c in d["coefficients"].items()))
-        return 0
+        check_text_alphabet(path.d)
+        data = _signature_json(pl_signature(path, args.maxdeg))
+        return data, lambda d: "\n".join(f"{w}: {c}" for w, c in d["coefficients"].items())
 
     if args.command == "pair":
         path = _parse_path(args.path)
         if args.element:
-            elements = {"element": _checked(parse_element, args.element, args.d or path.d)}
+            elements = {"element": parse_element(args.element, args.d or path.d)}
         elif args.fixture:
             elements = _load_fixture(args.fixture, args.d)
             if args.name:
                 if args.name not in elements:
-                    raise UsageError(f"no element {args.name!r} in {args.fixture}")
+                    raise ValueError(f"no element {args.name!r} in {args.fixture}")
                 elements = {args.name: elements[args.name]}
         else:
-            raise UsageError("pair needs --element or --fixture")
+            raise ValueError("pair needs --element or --fixture")
         for name, x in elements.items():
             if x.d != path.d:
-                raise UsageError(f"element {name} has {x.d} letters but the path lives in dimension {path.d}")
+                raise ValueError(f"element {name} has {x.d} letters but the path lives in dimension {path.d}")
         values = {name: str(path_pair(path, x)) for name, x in elements.items()}
-        _emit({"values": values}, fmt,
-              lambda d: "\n".join(f"{k} = {v}" for k, v in d["values"].items()))
-        return 0
+        return {"values": values}, lambda d: "\n".join(f"{k} = {v}" for k, v in d["values"].items())
 
     if args.command == "hmap":
-        x = _checked(parse_element, args.element, args.d)
+        x = parse_element(args.element, args.d)
         poly = signature_polynomial(x, args.n)
-        if args.coords == "points":
-            rendered = polynomial_to_x_text(poly)
-        else:
-            rendered = polynomial_to_text(poly)
-        _emit({"n": args.n, "d": x.d, "polynomial": rendered}, fmt,
-              lambda data: data["polynomial"])
-        return 0
+        rendered = polynomial_to_x_text(poly) if args.coords == "points" else polynomial_to_text(poly)
+        return {"n": args.n, "d": x.d, "polynomial": rendered}, itemgetter("polynomial")
 
     if args.command == "stabilizer":
-        if args.method == "brute":
-            group = _checked(stabilizer_bruteforce, args.d, args.n)
-        else:
-            group = _checked(stabilizer_structural, args.d, args.n)
-        _emit(group.to_json(), fmt,
-              lambda data: f"{data['structure_tag']} of order {data['order']}")
-        return 0
+        group = (stabilizer_bruteforce if args.method == "brute" else stabilizer_structural)(args.d, args.n)
+        return group.to_json(), lambda data: f"{data['structure_tag']} of order {data['order']}"
 
     if args.command == "gale":
-        facets = [list(f) for f in _checked(gale_facets, args.d, args.n)]
-        _emit({"d": args.d, "n": args.n, "facets": facets}, fmt,
-              lambda data: "\n".join("".join(map(str, f)) for f in data["facets"]))
-        return 0
+        facets = [list(f) for f in gale_facets(args.d, args.n)]
+        return ({"d": args.d, "n": args.n, "facets": facets},
+                lambda data: "\n".join("".join(map(str, f)) for f in data["facets"]))
 
     if args.command == "volume":
-        params = _checked(lambda: [qq(t) for t in args.moment_curve.split(",")])
-        inst = _checked(moment_curve_instance, args.d, len(params), params)
-        sv, tv = signed_volume(inst.path), polytope_volume(inst)
-        _emit({"signed_volume": str(sv), "triangulation_volume": str(tv)}, fmt,
-              lambda data: f"{data['signed_volume']}\n{data['triangulation_volume']}")
-        return 0
+        params = [qq(t) for t in args.moment_curve.split(",")]
+        inst = moment_curve_instance(args.d, len(params), params)
+        return ({"signed_volume": str(signed_volume(inst.path)), "triangulation_volume": str(polytope_volume(inst))},
+                lambda data: f"{data['signed_volume']}\n{data['triangulation_volume']}")
 
     if args.command == "inv-space":
-        group = _group_for(args.group, args.d, args.n)
+        group = stabilizer_structural(args.d, args.n) if args.group == "auto" else named_group(args.group, args.n)
         basis = invariant_space(args.d, args.n, args.k, group)
-        _space_output(basis, fmt, with_image=args.n)
-        return 0
+        return _space_output(basis, dim_image(basis, args.n))
 
     if args.command == "kernel-space":
-        _space_output(kernel_space(args.d, args.n, args.k), fmt)
-        return 0
+        return _space_output(kernel_space(args.d, args.n, args.k))
 
     if args.command == "timerev-space":
-        _space_output(timerev_space(args.d, args.k), fmt)
-        return 0
+        return _space_output(timerev_space(args.d, args.k))
 
     if args.command == "loopclosure-space":
-        _space_output(loopclosure_space(args.d, args.k, segments=args.segments), fmt)
-        return 0
+        return _space_output(loopclosure_space(args.d, args.k, segments=args.segments))
 
     if args.command == "inv-d":
-        _space_output(inv_d_space(args.d, args.k), fmt)
-        return 0
+        return _space_output(inv_d_space(args.d, args.k))
 
     if args.command == "check-element":
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
         if not checks:
-            raise UsageError(f"--check names no check: {args.check!r}")
+            raise ValueError(f"--check names no check: {args.check!r}")
         for check in checks:
             if check not in ("invariant", "kernel", "timerev", "loopclosure"):
-                raise UsageError(f"unknown check {check!r}")
+                raise ValueError(f"unknown check {check!r}")
             if check in ("invariant", "kernel") and args.n is None:
-                raise UsageError(f"check {check!r} needs --n")
+                raise ValueError(f"check {check!r} needs --n")
         elements = _load_fixture(args.fixture, args.d)
         report = {}
         ok = True
@@ -413,7 +372,7 @@ def _dispatch(args) -> int:
             for check in checks:
                 if check == "invariant":
                     if args.n < x.d + 1:
-                        raise UsageError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
+                        raise ValueError(f"check 'invariant' needs --n >= d+1 = {x.d + 1}")
                     entry[check] = is_invariant(x, x.d, args.n, conditions)
                 elif check == "kernel":
                     entry[check] = is_in_kernel(x, args.n, conditions)
@@ -423,30 +382,24 @@ def _dispatch(args) -> int:
                     entry[check] = loopclosure_membership(x, segments=args.segments, conditions=conditions)
                 ok = ok and entry[check]
             report[name] = entry
-        _emit({"checks": report, "pass": ok}, fmt,
-              lambda data: "\n".join(f"{k}: {v}" for k, v in data["checks"].items()))
-        return 0 if ok else 1
+        return ({"checks": report, "pass": ok},
+                lambda data: "\n".join(f"{k}: {v}" for k, v in data["checks"].items()),
+                0 if ok else 1)
 
     if args.command == "conjecture":
-        report = conjecture_evidence(args.d, args.k)
-        _emit(report, fmt,
-              lambda data: f"dim_image={data['dim_image']} predicted={data['predicted_dim_image']} -> {data['verdict']}")
-        return 0
+        return (conjecture_evidence(args.d, args.k),
+                lambda data: f"dim_image={data['dim_image']} predicted={data['predicted_dim_image']} -> {data['verdict']}")
 
-    if args.command == "reproduce-paper":
-        known = {num for num, _, _ in verify.CRITERIA}
-        unknown = sorted(set(args.only or ()) - known)
-        if unknown:
-            raise UsageError(f"no criterion {', '.join(map(str, unknown))} (criteria are 1..{max(known)})")
-        results = verify.run_all(only=args.only, progress=lambda msg: print(msg, file=sys.stderr))
-        if fmt == "json":
-            print(json.dumps(results))
-        else:
-            for r in results:
-                print(f"{'PASS' if r['pass'] else 'FAIL'}  {r['criterion']:2d}  {r['description']}")
-        return 0 if all(r["pass"] for r in results) else 1
-
-    raise SystemExit(2)
+    # reproduce-paper
+    known = {num for num, _, _ in verify.CRITERIA}
+    unknown = sorted(set(args.only or ()) - known)
+    if unknown:
+        raise ValueError(f"no criterion {', '.join(map(str, unknown))} (criteria are 1..{max(known)})")
+    results = verify.run_all(only=args.only, progress=lambda msg: print(msg, file=sys.stderr))
+    return (results,
+            lambda data: "\n".join(f"{'PASS' if r['pass'] else 'FAIL'}  {r['criterion']:2d}  {r['description']}"
+                                   for r in data),
+            0 if all(r["pass"] for r in results) else 1)
 
 
 def main() -> None:

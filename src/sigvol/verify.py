@@ -50,6 +50,7 @@ from .sigpoly import (
     chen_product,
     pair,
     parse_polynomial,
+    path_pair,
     pl_signature,
     signature_polynomial,
     substitute_collinear,
@@ -292,12 +293,26 @@ def _suite_grading(rng: random.Random) -> bool:
 
 
 def _suite_loopclosure_segments(rng: random.Random) -> bool:
+    """The degree-k closure invariants on k and k + 1 segments, and their pairings with loops.
+
+    On m >= k segments the closure condition reads no m, so the two spaces
+    agree even for a wrong closure map.  Each basis element must also pair
+    with seeded open paths of k and k + 1 segments as with those paths closed
+    on either side: Chen's identity evaluated on paths, not through the word map.
+    """
     for d in (1, 2, 3):
         for k in range(1, 5):
             base = loopclosure_space(d, k, segments=k)
             more = loopclosure_space(d, k, segments=k + 1)
             if base.space != more.space:
                 return False
+            for m in (k, k + 1):
+                path = _random_path(rng, d, m + 1)
+                loops = (PLPath(path.points + path.points[:1]), PLPath(path.points[-1:] + path.points))
+                for x in base.elements:
+                    value = path_pair(path, x)
+                    if any(path_pair(loop, x) != value for loop in loops):
+                        return False
     return True
 
 

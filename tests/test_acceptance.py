@@ -5,9 +5,10 @@ One test per criterion; each prints its own PASS/FAIL line so a plain
 All comparisons are exact rational equality; there are no tolerances.
 """
 
+import random
 import sys
 
-from sigvol import verify
+from sigvol import invariants, verify
 
 _cache: dict = {}
 
@@ -87,3 +88,11 @@ def test_simultaneous_invariants_are_solved_once_per_cache(monkeypatch):
     verify.check_concat_square(cache)
     verify.check_finite_witnesses(cache)
     assert calls.count((3, 6)) == 1
+
+
+def test_loopclosure_segment_suite_fails_on_a_wrong_closure_map(monkeypatch):
+    # with every closure term dropped, each word is its own closure: the spaces
+    # on k and k + 1 segments still agree, and only the pairings with loops fail
+    monkeypatch.setattr(invariants, "_closure_functional", lambda word: [])
+    assert verify.loopclosure_space(2, 3, segments=3).space == verify.loopclosure_space(2, 3, segments=4).space
+    assert not verify._suite_loopclosure_segments(random.Random(987005))
